@@ -441,11 +441,6 @@ def verify_confirmation(own_b: int, own_msg1: HandshakeMsg1,
     return h2_tag(params, shared, sid) == peer_msg2.h
 
 
-def same_group(own_gid: str, verified_peer_gid: str) -> bool:
-    """Group equality for a peer that already passed tag verification."""
-    return own_gid == verified_peer_gid
-
-
 def run_mutual_handshake(cert_i: Certificate, gid_i: str,
                          cert_j: Certificate, gid_j: str,
                          rl: RevocationList, directory: dict[str, int],
@@ -453,9 +448,10 @@ def run_mutual_handshake(cert_i: Certificate, gid_i: str,
                          seed: int | random.Random) -> dict:
     """Drive one full two-party handshake; node i initiates.
 
-    Returns a transcript dict with both outcomes and all wire frames, used
-    by the contact layer and by wire-capture tests.  A peer claiming an
-    unknown gid fails verification on the other side.
+    Returns a transcript dict with both outcomes, both rounds' messages and
+    reject flags, and all wire frames, used by the contact layer, the
+    keytool demo and wire-capture tests.  A peer claiming an unknown gid
+    fails verification on the other side.
     """
     rng = as_rng(seed)
     msg1_i, b_i = handshake_round1(cert_i, gid_i, params, rng)
@@ -476,6 +472,9 @@ def run_mutual_handshake(cert_i: Certificate, gid_i: str,
         "mutual": i_accepts and j_accepts,
         "gid_i": msg1_i.gid,
         "gid_j": msg1_j.gid,
+        "msg1": (msg1_i, msg1_j),
+        "msg2": (msg2_i, msg2_j),
+        "reject": (reject_i, reject_j),
         "wire": [encode_msg1(msg1_i), encode_msg1(msg1_j),
                  encode_msg2(msg2_i), encode_msg2(msg2_j)],
     }

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .energy import EnergyParams
-from .model import ContactEvent, Message, NodeId, SimTime, message_is_expired
-from .routing import (Action, Buffer, ForwardDecision, PrifRouter, Reason,
-                      RouterConfig, WireLog, interest_wire_bytes, unseal_payload)
+from .model import Message, NodeId, SimTime
+from .routing import (Action, ForwardDecision, PrifRouter, Reason, Router,
+                      WireLog, interest_wire_bytes)
+from .routing import unseal_payload  # noqa: F401  (perfbench's tracer patches it here)
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +37,10 @@ class NoPrivacyPrifRouter(PrifRouter):
     kind = "prif-noprivacy"
 
     def __init__(self, node: NodeId, interest: int, energy_params: EnergyParams,
-                 capacity_bytes: int, config: RouterConfig = RouterConfig()) -> None:
+                 capacity_bytes: int) -> None:
         super().__init__(node, interest, gid=f"plain-{interest}", cert=None,
                          auth_ctx=None, energy_params=energy_params,
-                         capacity_bytes=capacity_bytes, config=config)
+                         capacity_bytes=capacity_bytes)
         self.community = interest
         self.energy.owner_community = interest
 
@@ -62,43 +63,14 @@ class NoPrivacyPrifRouter(PrifRouter):
         return True, len(frame_self), len(frame_other)
 
 
-def prif_noprivacy_decide(carrier: NoPrivacyPrifRouter, peer: NoPrivacyPrifRouter,
-                          m: Message, now: SimTime) -> ForwardDecision:
-    """Same decision surface as the community router, plaintext labels."""
-    return carrier.decide(peer, m, now)
-
-
 # ---------------------------------------------------------------------------
 # epidemic
 # ---------------------------------------------------------------------------
 
-def epidemic_decide(carrier: "EpidemicRouter", peer: "EpidemicRouter",
-                    m: Message) -> ForwardDecision:
-    """Flood: deliver at the destination, otherwise relay any missing copy."""
-    if peer.node == m.destination:
-        return ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
-    if m.msg_id in peer.buffer or m.msg_id in peer.delivered_ids:
-        return ForwardDecision(Action.HOLD, Reason.TIE_OR_LOWER)
-    return ForwardDecision(Action.RELAY, Reason.CARRIER_OUTSIDE_DEST_IN_COMMUNITY)
-
-
-class EpidemicRouter:
+class EpidemicRouter(Router):
     """Replicate everything; drop the oldest when the buffer fills."""
 
     kind = "epidemic"
-
-    def __init__(self, node: NodeId, interest: int, capacity_bytes: int,
-                 config: RouterConfig = RouterConfig()) -> None:
-        self.node = node
-        self.interest = interest
-        self.community = interest
-        self.config = config
-        self.buffer = Buffer(capacity_bytes)
-        self.delivered_ids: set[int] = set()
-        self.sessions: dict[NodeId, bool] = {}
-
-    def header_label(self, m: Message) -> bytes:
-        return b""
 
     def begin_contact(self, other: "EpidemicRouter", now: SimTime,
                       rng: random.Random,
@@ -112,47 +84,16 @@ class EpidemicRouter:
         other.sessions[self.node] = True
         return True, 0, 0
 
-    def end_contact(self, other: "EpidemicRouter", contact: ContactEvent) -> None:
-        self.sessions.pop(other.node, None)
-        other.sessions.pop(self.node, None)
-
     def decide(self, peer: "EpidemicRouter", m: Message, now: SimTime) -> ForwardDecision:
-        return epidemic_decide(self, peer, m)
+        """Flood: deliver at the destination, otherwise relay any missing copy."""
+        if peer.node == m.destination:
+            return ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
+        if m.msg_id in peer.buffer or m.msg_id in peer.delivered_ids:
+            return ForwardDecision(Action.HOLD, Reason.TIE_OR_LOWER)
+        return ForwardDecision(Action.RELAY, Reason.CARRIER_OUTSIDE_DEST_IN_COMMUNITY)
 
-    def schedule_messages(self, peer: "EpidemicRouter", now: SimTime) -> list[Message]:
-        candidates = [m for m in self.buffer.messages()
-                      if not message_is_expired(m, now)
-                      and m.msg_id not in peer.buffer
-                      and m.msg_id not in peer.delivered_ids
-                      and m.msg_id not in self.delivered_ids]
-        return sorted(candidates,
-                      key=lambda m: (0 if m.destination == peer.node else 1,
-                                     m.created_at, m.msg_id))
-
-    def admit(self, m: Message, now: SimTime) -> tuple[bool, list[Message], list[Message]]:
-        purged = self.buffer.pop_expired(now)
-        if m.size_bytes > self.buffer.capacity_bytes:
-            return False, [], purged
-        evicted: list[Message] = []
-        while self.buffer.used_bytes + m.size_bytes > self.buffer.capacity_bytes:
-            oldest = min(self.buffer.messages(),
-                         key=lambda v: (v.created_at, v.msg_id))
-            self.buffer.remove(oldest.msg_id)
-            evicted.append(oldest)
-        self.buffer.add(m)
-        return True, evicted, purged
-
-    def accept_delivery(self, m: Message) -> bool:
-        if m.destination != self.node:
-            raise ValueError("delivery processed at a non-destination node")
-        if m.msg_id in self.delivered_ids:
-            return False
-        unseal_payload(m.payload, self.pseudo_identity())
-        self.delivered_ids.add(m.msg_id)
-        return True
-
-    def pseudo_identity(self) -> str:
-        return f"node-{self.node}"
+    def _schedule_key(self, m: Message, peer: Router, now: SimTime):
+        return (0 if m.destination == peer.node else 1, m.created_at, m.msg_id)
 
 
 # ---------------------------------------------------------------------------
@@ -171,78 +112,60 @@ class ProphetState:
     window: float = 30.0
     last_aged_at: SimTime = 0.0
 
+    def encounter(self, peer: NodeId) -> None:
+        """P(peer) grows toward 1 by p_init of the remaining headroom."""
+        old = self.p.get(peer, 0.0)
+        self.p[peer] = old + (1.0 - old) * self.p_init
 
-def prophet_update(s: ProphetState, event: str, *, peer: NodeId | None = None,
-                   now: SimTime | None = None,
-                   via: NodeId | None = None,
-                   peer_vector: Iterable[tuple[NodeId, float]] | None = None) -> ProphetState:
-    """Apply one predictability event: encounter, age, or transitive.
-
-    encounter: P(peer) grows toward 1 by p_init of the remaining headroom.
-    age: every entry decays by gamma per whole window since the last aging.
-    transitive: P(c) grows by P(via) * P_via(c) * beta of the headroom.
-    """
-    if event == "encounter":
-        old = s.p.get(peer, 0.0)
-        s.p[peer] = old + (1.0 - old) * s.p_init
-    elif event == "age":
-        k = int(math.floor((now - s.last_aged_at) / s.window))
+    def age(self, now: SimTime) -> None:
+        """Every entry decays by gamma per whole window since the last aging."""
+        k = int(math.floor((now - self.last_aged_at) / self.window))
         if k > 0:
-            f = s.gamma_age ** k
-            for node in s.p:
-                s.p[node] *= f
-            s.last_aged_at += k * s.window
-    elif event == "transitive":
-        p_via = s.p.get(via, 0.0)
+            f = self.gamma_age ** k
+            for node in self.p:
+                self.p[node] *= f
+            self.last_aged_at += k * self.window
+
+    def transitive(self, via: NodeId,
+                   peer_vector: Iterable[tuple[NodeId, float]]) -> None:
+        """P(c) grows by P(via) * P_via(c) * beta of the headroom."""
+        p_via = self.p.get(via, 0.0)
         for node, p_bc in peer_vector:
-            if node == s.owner or node == via:
+            if node == self.owner or node == via:
                 continue
-            old = s.p.get(node, 0.0)
-            s.p[node] = old + (1.0 - old) * p_via * p_bc * s.beta_transitive
-    else:
-        raise ValueError(f"unknown predictability event {event!r}")
-    return s
+            old = self.p.get(node, 0.0)
+            self.p[node] = old + (1.0 - old) * p_via * p_bc * self.beta_transitive
 
 
-class ProphetRouter:
+class ProphetRouter(Router):
     """Forward to peers with strictly higher delivery predictability."""
 
     kind = "prophet"
 
     def __init__(self, node: NodeId, interest: int, capacity_bytes: int,
-                 config: RouterConfig = RouterConfig(),
                  p_init: float = 0.75, beta_transitive: float = 0.25,
                  gamma_age: float = 0.98, window: float = 30.0) -> None:
-        self.node = node
-        self.interest = interest
-        self.community = interest
-        self.config = config
-        self.buffer = Buffer(capacity_bytes)
-        self.delivered_ids: set[int] = set()
-        self.sessions: dict[NodeId, bool] = {}
+        super().__init__(node, interest, capacity_bytes)
         self.state = ProphetState(owner=node, p_init=p_init,
                                   beta_transitive=beta_transitive,
                                   gamma_age=gamma_age, window=window)
 
-    def header_label(self, m: Message) -> bytes:
-        return b""
-
     def predictability(self, dest: NodeId, now: SimTime) -> float:
-        prophet_update(self.state, "age", now=now)
+        self.state.age(now)
         return self.state.p.get(dest, 0.0)
 
     def begin_contact(self, other: "ProphetRouter", now: SimTime,
                       rng: random.Random,
                       wire: WireLog | None = None) -> tuple[bool, int, int]:
         """Encounter bump both ways, then mutual transitive folding."""
-        prophet_update(self.state, "age", now=now)
-        prophet_update(other.state, "age", now=now)
-        prophet_update(self.state, "encounter", peer=other.node)
-        prophet_update(other.state, "encounter", peer=self.node)
+        self.state.age(now)
+        other.state.age(now)
+        self.state.encounter(other.node)
+        other.state.encounter(self.node)
         vec_self = sorted(self.state.p.items())
         vec_other = sorted(other.state.p.items())
-        prophet_update(self.state, "transitive", via=other.node, peer_vector=vec_other)
-        prophet_update(other.state, "transitive", via=self.node, peer_vector=vec_self)
+        self.state.transitive(other.node, vec_other)
+        other.state.transitive(self.node, vec_self)
         if wire is not None:
             for a, vec in ((self, vec_self), (other, vec_other)):
                 frame = b"PPRED" + b"".join(n.to_bytes(8, "big") for n, _ in vec)
@@ -252,10 +175,6 @@ class ProphetRouter:
         other.sessions[self.node] = True
         return True, 0, 0
 
-    def end_contact(self, other: "ProphetRouter", contact: ContactEvent) -> None:
-        self.sessions.pop(other.node, None)
-        other.sessions.pop(self.node, None)
-
     def decide(self, peer: "ProphetRouter", m: Message, now: SimTime) -> ForwardDecision:
         if peer.node == m.destination:
             return ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
@@ -263,38 +182,7 @@ class ProphetRouter:
             return ForwardDecision(Action.RELAY, Reason.HIGHER_INTRA)
         return ForwardDecision(Action.HOLD, Reason.TIE_OR_LOWER)
 
-    def schedule_messages(self, peer: "ProphetRouter", now: SimTime) -> list[Message]:
-        candidates = [m for m in self.buffer.messages()
-                      if not message_is_expired(m, now)
-                      and m.msg_id not in peer.buffer
-                      and m.msg_id not in peer.delivered_ids
-                      and m.msg_id not in self.delivered_ids]
-        return sorted(candidates,
-                      key=lambda m: (0 if m.destination == peer.node else 1,
-                                     -self.predictability(m.destination, now),
-                                     m.created_at, m.msg_id))
-
-    def admit(self, m: Message, now: SimTime) -> tuple[bool, list[Message], list[Message]]:
-        purged = self.buffer.pop_expired(now)
-        if m.size_bytes > self.buffer.capacity_bytes:
-            return False, [], purged
-        evicted: list[Message] = []
-        while self.buffer.used_bytes + m.size_bytes > self.buffer.capacity_bytes:
-            oldest = min(self.buffer.messages(),
-                         key=lambda v: (v.created_at, v.msg_id))
-            self.buffer.remove(oldest.msg_id)
-            evicted.append(oldest)
-        self.buffer.add(m)
-        return True, evicted, purged
-
-    def accept_delivery(self, m: Message) -> bool:
-        if m.destination != self.node:
-            raise ValueError("delivery processed at a non-destination node")
-        if m.msg_id in self.delivered_ids:
-            return False
-        unseal_payload(m.payload, self.pseudo_identity())
-        self.delivered_ids.add(m.msg_id)
-        return True
-
-    def pseudo_identity(self) -> str:
-        return f"node-{self.node}"
+    def _schedule_key(self, m: Message, peer: Router, now: SimTime):
+        return (0 if m.destination == peer.node else 1,
+                -self.predictability(m.destination, now),
+                m.created_at, m.msg_id)

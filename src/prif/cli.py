@@ -82,6 +82,8 @@ def cmd_run(config_path, preset, routers_opt, axis, values, seeds, out_dir,
             f"unknown sweep axis {axis!r}; valid: {', '.join(SWEEP_AXES)}")
     if (axis is None) != (values is None):
         raise click.UsageError("--sweep and --values go together")
+    if axis is not None and want_trace:
+        raise click.UsageError("--trace applies to single runs only, not to --sweep")
     value_list = _parse_list(values, float) if values else None
     seed_list = _parse_list(seeds, int) if seeds else [scenario.seed]
     fmt_set = set(_parse_list(formats, str))
@@ -317,30 +319,18 @@ def keytool_handshake_demo(store_path, gid_a, gid_b) -> None:
     _save_store(path, store)
 
     cert_a, cert_b = to_cert(ca), to_cert(cb)
-    msg1_a, b_a = auth.handshake_round1(cert_a, gid_a, params, rng)
-    msg1_b, b_b = auth.handshake_round1(cert_b, gid_b, params, rng)
+    tr = auth.run_mutual_handshake(cert_a, gid_a, cert_b, gid_b, rl, directory,
+                                   params, rng)
+    sides = ("A -> B", "B -> A")
     click.echo(f"params: p={params.p:x} q={params.q:x} alpha={params.alpha:x}")
-    click.echo(f"A -> B: round1 gid={msg1_a.gid} id={msg1_a.id} "
-               f"Y={msg1_a.Y:x} B={msg1_a.B:x}")
-    click.echo(f"B -> A: round1 gid={msg1_b.gid} id={msg1_b.id} "
-               f"Y={msg1_b.Y:x} B={msg1_b.B:x}")
-    msg2_a, reject_a = auth.handshake_round2(cert_a, msg1_a, True, msg1_b,
-                                             rl, params, rng)
-    msg2_b, reject_b = auth.handshake_round2(cert_b, msg1_b, False, msg1_a,
-                                             rl, params, rng)
-    click.echo(f"A -> B: round2 tag={msg2_a.h.hex()[:16]}.. "
-               f"(reject={reject_a})")
-    click.echo(f"B -> A: round2 tag={msg2_b.h.hex()[:16]}.. "
-               f"(reject={reject_b})")
-    a_ok = (not reject_a and auth.verify_confirmation(
-        b_a, msg1_a, msg1_b, True, directory[gid_b], msg2_b, params))
-    b_ok = (not reject_b and auth.verify_confirmation(
-        b_b, msg1_b, msg1_a, False, directory[gid_a], msg2_a, params))
-    click.echo(f"A verifies B: {'accept' if a_ok else 'reject'}")
-    click.echo(f"B verifies A: {'accept' if b_ok else 'reject'}")
-    if a_ok and b_ok:
-        same = auth.same_group(msg1_a.gid, msg1_b.gid)
-        click.echo(f"result: both accept (same group: {same})")
+    for who, m in zip(sides, tr["msg1"]):
+        click.echo(f"{who}: round1 gid={m.gid} id={m.id} Y={m.Y:x} B={m.B:x}")
+    for who, m, reject in zip(sides, tr["msg2"], tr["reject"]):
+        click.echo(f"{who}: round2 tag={m.h.hex()[:16]}.. (reject={reject})")
+    click.echo(f"A verifies B: {'accept' if tr['i_accepts'] else 'reject'}")
+    click.echo(f"B verifies A: {'accept' if tr['j_accepts'] else 'reject'}")
+    if tr["mutual"]:
+        click.echo(f"result: both accept (same group: {tr['gid_i'] == tr['gid_j']})")
     elif rl.is_revoked(cert_a.id) or rl.is_revoked(cert_b.id):
         click.echo("result: reject (revoked)")
     else:
@@ -364,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, auth.ParameterGenError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
 

@@ -171,9 +171,6 @@ class Buffer:
     def ids(self) -> set[int]:
         return set(self._msgs)
 
-    def get(self, msg_id: int) -> Optional[Message]:
-        return self._msgs.get(msg_id)
-
     def add(self, m: Message) -> None:
         if m.msg_id in self._msgs:
             raise ValueError(f"message {m.msg_id} already buffered")
@@ -198,19 +195,6 @@ class Buffer:
 # router
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RouterConfig:
-    """Behaviour switches shared by all router flavours."""
-
-    forward_and_delete: bool = False
-    antipacket_mode: str = "gossip"  # gossip | instant | off
-    charge_handshake_bytes: bool = False
-
-    def __post_init__(self) -> None:
-        if self.antipacket_mode not in ("gossip", "instant", "off"):
-            raise ValueError("antipacket_mode must be gossip, instant or off")
-
-
 @dataclass
 class AuthContext:
     """Shared public state every node sees: params, revocations, directory."""
@@ -220,34 +204,139 @@ class AuthContext:
     directory: dict[str, int]
 
 
-class PrifRouter:
-    """Per-node state: energy table, buffer, credentials, live sessions."""
+class Router:
+    """Per-node state and the contact-time logic every flavour shares.
 
-    kind = "prif"
+    A flavour supplies its contact setup ``begin_contact(other, now, rng,
+    wire) -> (usable, bytes sent by self, bytes sent by other)``, its
+    forwarding decision ``decide(peer, m, now)`` and its transmission order
+    ``_schedule_key(m, peer, now)``; the default eviction order drops the
+    oldest copy first.
+    """
 
-    def __init__(self, node: NodeId, interest: int, gid: str,
-                 cert: Optional[auth.Certificate], auth_ctx: Optional[AuthContext],
-                 energy_params: EnergyParams, capacity_bytes: int,
-                 config: RouterConfig = RouterConfig()) -> None:
+    gossips_antipackets = False
+    cert: Optional[auth.Certificate] = None
+
+    def __init__(self, node: NodeId, interest: int, capacity_bytes: int) -> None:
         self.node = node
         self.interest = interest
-        self.gid = gid
-        self.cert = cert
-        self.auth_ctx = auth_ctx
-        self.config = config
-        self.community: Hashable = gid
-        self.energy = EnergyTable(node, self.community, energy_params)
+        self.community: Hashable = interest
         self.buffer = Buffer(capacity_bytes)
         self.delivered_ids: set[int] = set()
         self.sessions: dict[NodeId, Hashable] = {}
+
+    def pseudo_identity(self) -> str:
+        return self.cert.id if self.cert is not None else f"node-{self.node}"
+
+    def header_label(self, m: Message) -> bytes:
+        return b""
+
+    # -- contact lifecycle ----------------------------------------------------
+
+    def end_contact(self, other: "Router", contact: ContactEvent) -> None:
+        self.sessions.pop(other.node, None)
+        other.sessions.pop(self.node, None)
+
+    # -- scheduling and eviction -------------------------------------------------
+
+    def _eviction_key(self, m: Message, now: SimTime):
+        return (m.created_at, m.msg_id)
+
+    def schedule_order(self, msgs: Iterable[Message], now: SimTime,
+                       peer: Optional["Router"] = None) -> list[Message]:
+        return sorted(msgs, key=lambda m: self._schedule_key(m, peer, now))
+
+    def eviction_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
+        return sorted(msgs, key=lambda m: self._eviction_key(m, now))
+
+    def schedule_messages(self, peer: "Router", now: SimTime) -> list[Message]:
+        """Outbound plan for one contact: drop dead copies, skip what the
+        peer already has or has seen delivered, order the rest."""
+        candidates = [m for m in self.buffer.messages()
+                      if not message_is_expired(m, now)
+                      and m.msg_id not in peer.buffer
+                      and m.msg_id not in peer.delivered_ids
+                      and m.msg_id not in self.delivered_ids]
+        return self.schedule_order(candidates, now, peer)
+
+    # -- buffer admission ---------------------------------------------------------
+
+    def admit(self, m: Message, now: SimTime) -> tuple[bool, list[Message], list[Message]]:
+        """Admit a message, evicting in eviction order if needed.
+
+        Returns (admitted, evicted, expired-purged).  A message larger than
+        the whole buffer is rejected outright.
+        """
+        purged = self.buffer.pop_expired(now)
+        if m.size_bytes > self.buffer.capacity_bytes:
+            return False, [], purged
+        evicted: list[Message] = []
+        if self.buffer.used_bytes + m.size_bytes > self.buffer.capacity_bytes:
+            order = self.eviction_order(self.buffer.messages(), now)
+            for victim in order:
+                if self.buffer.used_bytes + m.size_bytes <= self.buffer.capacity_bytes:
+                    break
+                self.buffer.remove(victim.msg_id)
+                evicted.append(victim)
+        self.buffer.add(m)
+        return True, evicted, purged
+
+    def pop_expired(self, now: SimTime) -> list[Message]:
+        return self.buffer.pop_expired(now)
+
+    def drop_copy(self, msg_id: int) -> Message:
+        """Remove the carrier's own copy after a forward-and-delete relay."""
+        return self.buffer.remove(msg_id)
+
+    # -- delivery and anti-packets ---------------------------------------------------
+
+    def accept_delivery(self, m: Message) -> bool:
+        """Destination-side processing; True the first time an id arrives."""
+        if m.destination != self.node:
+            raise ValueError("delivery processed at a non-destination node")
+        if m.msg_id in self.delivered_ids:
+            return False
+        unseal_payload(m.payload, self.pseudo_identity())
+        self.delivered_ids.add(m.msg_id)
+        return True
+
+    def mark_delivered(self, msg_id: int) -> Optional[Message]:
+        """Record a delivery notice; returns the own copy it condemns, if any."""
+        self.delivered_ids.add(msg_id)
+        return self.buffer.remove(msg_id) if msg_id in self.buffer else None
+
+    def exchange_antipackets(self, other: "Router") -> tuple[list[Message], list[Message]]:
+        """Union the delivered-id sets and drop any copies they condemn."""
+        union = self.delivered_ids | other.delivered_ids
+        self.delivered_ids = union
+        other.delivered_ids = set(union)
+        dropped_self = [self.buffer.remove(mid) for mid in
+                        sorted(union & self.buffer.ids())]
+        dropped_other = [other.buffer.remove(mid) for mid in
+                         sorted(union & other.buffer.ids())]
+        return dropped_self, dropped_other
+
+
+class PrifRouter(Router):
+    """Community-energy router over authenticated group sessions."""
+
+    kind = "prif"
+    gossips_antipackets = True
+
+    def __init__(self, node: NodeId, interest: int, gid: str,
+                 cert: Optional[auth.Certificate], auth_ctx: Optional[AuthContext],
+                 energy_params: EnergyParams, capacity_bytes: int) -> None:
+        super().__init__(node, interest, capacity_bytes)
+        self.gid = gid
+        self.cert = cert
+        self.auth_ctx = auth_ctx
+        self.community = gid
+        self.energy = EnergyTable(node, self.community, energy_params)
 
     # -- community labelling ------------------------------------------------
 
     def dest_label(self, m: Message) -> Hashable:
         return m.dest_gid
-
-    def session_label(self, peer_node: NodeId) -> Hashable:
-        return self.sessions[peer_node]
 
     def header_label(self, m: Message) -> bytes:
         return m.dest_gid.encode()
@@ -310,7 +399,7 @@ class PrifRouter:
         if peer.node == m.destination:
             return ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
         dest_c = self.dest_label(m)
-        peer_c = self.session_label(peer.node)
+        peer_c = self.sessions[peer.node]
         if self.community == dest_c:
             if (peer_c == dest_c
                     and peer.energy.effective_inter(m.destination, now)
@@ -326,7 +415,9 @@ class PrifRouter:
 
     # -- scheduling and eviction -------------------------------------------------
 
-    def _schedule_key(self, m: Message, now: SimTime):
+    def _schedule_key(self, m: Message, peer: Optional[Router], now: SimTime):
+        """Destination-community class first, strong energy first, newer
+        first on equal energy; the peer plays no part."""
         if self.community == self.dest_label(m):
             return (0, -self.energy.effective_inter(m.destination, now),
                     -m.created_at, m.msg_id)
@@ -334,84 +425,13 @@ class PrifRouter:
                 -m.created_at, m.msg_id)
 
     def _eviction_key(self, m: Message, now: SimTime):
+        """By construction exactly the reverse of the schedule order on the
+        same snapshot (tested both ways)."""
         if self.community == self.dest_label(m):
             return (1, self.energy.effective_inter(m.destination, now),
                     m.created_at, -m.msg_id)
         return (0, self.energy.effective_intra(self.dest_label(m), now),
                 m.created_at, -m.msg_id)
-
-    def schedule_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
-        """Transmission order: destination-community class first, strong
-        energy first, newer first on equal energy."""
-        return sorted(msgs, key=lambda m: self._schedule_key(m, now))
-
-    def eviction_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
-        """Discard order; by construction of the keys this is exactly the
-        reverse of schedule_order on the same snapshot (tested both ways)."""
-        return sorted(msgs, key=lambda m: self._eviction_key(m, now))
-
-    def schedule_messages(self, peer: "PrifRouter", now: SimTime) -> list[Message]:
-        """Outbound plan for one contact: drop dead copies, skip what the
-        peer already has or has seen delivered, order the rest."""
-        candidates = [m for m in self.buffer.messages()
-                      if not message_is_expired(m, now)
-                      and m.msg_id not in peer.buffer
-                      and m.msg_id not in peer.delivered_ids
-                      and m.msg_id not in self.delivered_ids]
-        return self.schedule_order(candidates, now)
-
-    # -- buffer admission ---------------------------------------------------------
-
-    def admit(self, m: Message, now: SimTime) -> tuple[bool, list[Message], list[Message]]:
-        """Admit a message, evicting in reverse scheduling order if needed.
-
-        Returns (admitted, evicted, expired-purged).  A message larger than
-        the whole buffer is rejected outright.
-        """
-        purged = self.buffer.pop_expired(now)
-        if m.size_bytes > self.buffer.capacity_bytes:
-            return False, [], purged
-        evicted: list[Message] = []
-        if self.buffer.used_bytes + m.size_bytes > self.buffer.capacity_bytes:
-            order = self.eviction_order(self.buffer.messages(), now)
-            for victim in order:
-                if self.buffer.used_bytes + m.size_bytes <= self.buffer.capacity_bytes:
-                    break
-                self.buffer.remove(victim.msg_id)
-                evicted.append(victim)
-        self.buffer.add(m)
-        return True, evicted, purged
-
-    # -- delivery and anti-packets ---------------------------------------------------
-
-    def accept_delivery(self, m: Message) -> bool:
-        """Destination-side processing; True the first time an id arrives."""
-        if m.destination != self.node:
-            raise ValueError("delivery processed at a non-destination node")
-        if m.msg_id in self.delivered_ids:
-            return False
-        unseal_payload(m.payload, self.pseudo_identity())
-        self.delivered_ids.add(m.msg_id)
-        return True
-
-    def pseudo_identity(self) -> str:
-        return self.cert.id if self.cert is not None else f"node-{self.node}"
-
-    def exchange_antipackets(self, other: "PrifRouter") -> tuple[list[Message], list[Message]]:
-        """Union the delivered-id sets and drop any copies they condemn."""
-        union = self.delivered_ids | other.delivered_ids
-        self.delivered_ids = union
-        other.delivered_ids = set(union)
-        dropped_self = [self.buffer.remove(mid) for mid in
-                        sorted(union & self.buffer.ids())]
-        dropped_other = [other.buffer.remove(mid) for mid in
-                         sorted(union & other.buffer.ids())]
-        return dropped_self, dropped_other
-
-    def discard_if_buffered(self, msg_id: int) -> Optional[Message]:
-        if msg_id in self.buffer:
-            return self.buffer.remove(msg_id)
-        return None
 
 
 def relay_copy(m: Message) -> Message:

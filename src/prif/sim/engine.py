@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .. import auth
 from ..baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
 from ..model import ContactEvent, Message
-from ..routing import (Action, AuthContext, PrifRouter, RouterConfig, WireLog,
+from ..routing import (Action, AuthContext, PrifRouter, Router, WireLog,
                        encode_message_header, relay_copy, seal_payload)
 from .metrics import MetricsLedger, MetricsReport
 from .scenario import MB, Scenario
@@ -55,46 +55,29 @@ class ReplayEngine:
 
     # -- construction -----------------------------------------------------
 
-    def _build_routers(self) -> dict[int, object]:
+    def _build_routers(self) -> dict[int, Router]:
         sc = self.scenario
-        interests = self.trace.interests
-        config = RouterConfig(forward_and_delete=sc.forward_and_delete,
-                              antipacket_mode=sc.antipacket_mode,
-                              charge_handshake_bytes=sc.charge_handshake_bytes)
-        n_communities = int(interests.max()) + 1
-        routers: dict[int, object] = {}
+        interests = [int(i) for i in self.trace.interests]
         if sc.router == "prif":
             params = auth.TOY_PARAMS if sc.crypto == "toy" else auth.DEFAULT_PARAMS_2048
             self.ta = auth.TrustAuthority(params, self.crypto_rng)
-            for idx in range(n_communities):
+            for idx in range(max(interests) + 1):
                 self.gid_of_interest[idx] = self.ta.create_group().gid
             ctx = AuthContext(params, self.ta.rl, self.ta.directory())
-            for node in range(sc.n_nodes):
-                interest = int(interests[node])
-                gid = self.gid_of_interest[interest]
-                routers[node] = PrifRouter(node, interest, gid,
-                                           self.ta.register(gid), ctx,
-                                           sc.energy, sc.buffer_bytes, config)
-        elif sc.router == "prif-noprivacy":
-            for node in range(sc.n_nodes):
-                routers[node] = NoPrivacyPrifRouter(node, int(interests[node]),
-                                                    sc.energy, sc.buffer_bytes,
-                                                    config)
-        elif sc.router == "epidemic":
-            for node in range(sc.n_nodes):
-                routers[node] = EpidemicRouter(node, int(interests[node]),
-                                               sc.buffer_bytes, config)
-        elif sc.router == "prophet":
-            for node in range(sc.n_nodes):
-                routers[node] = ProphetRouter(node, int(interests[node]),
-                                              sc.buffer_bytes, config,
-                                              p_init=sc.prophet_p_init,
-                                              beta_transitive=sc.prophet_beta,
-                                              gamma_age=sc.prophet_gamma,
-                                              window=sc.energy.window)
-        else:
-            raise ValueError(f"unknown router {sc.router!r}")
-        return routers
+        make = {
+            "prif": lambda node, i: PrifRouter(
+                node, i, self.gid_of_interest[i],
+                self.ta.register(self.gid_of_interest[i]), ctx,
+                sc.energy, sc.buffer_bytes),
+            "prif-noprivacy": lambda node, i: NoPrivacyPrifRouter(
+                node, i, sc.energy, sc.buffer_bytes),
+            "epidemic": lambda node, i: EpidemicRouter(node, i, sc.buffer_bytes),
+            "prophet": lambda node, i: ProphetRouter(
+                node, i, sc.buffer_bytes, p_init=sc.prophet_p_init,
+                beta_transitive=sc.prophet_beta, gamma_age=sc.prophet_gamma,
+                window=sc.energy.window),
+        }[sc.router]
+        return {node: make(node, i) for node, i in enumerate(interests)}
 
     # -- trace lines ----------------------------------------------------------
 
@@ -151,8 +134,7 @@ class ReplayEngine:
         self._line(c.end, "contact_end", c.a, c.b, None)
         if ok:
             now = c.end
-            if (self.scenario.antipacket_mode == "gossip"
-                    and isinstance(ra, PrifRouter)):
+            if self.scenario.antipacket_mode == "gossip" and ra.gossips_antipackets:
                 dropped_a, dropped_b = ra.exchange_antipackets(rb)
                 for node, dropped in ((c.a, dropped_a), (c.b, dropped_b)):
                     for v in dropped:
@@ -191,8 +173,7 @@ class ReplayEngine:
                 self.ledger.on_delivered(copy, first)
                 self._line(now, "deliver" if first else "dup",
                            carrier.node, peer.node, copy.msg_id)
-                carrier.delivered_ids.add(copy.msg_id)
-                own = carrier.buffer.remove(m.msg_id) if m.msg_id in carrier.buffer else None
+                own = carrier.mark_delivered(m.msg_id)
                 if own is not None:
                     self.ledger.on_copy_gone(own, "handoff")
                     self._line(now, "handoff", carrier.node, None, m.msg_id)
@@ -204,15 +185,14 @@ class ReplayEngine:
                 if admitted:
                     self._line(now, "relay", carrier.node, peer.node, copy.msg_id)
                     if self.scenario.forward_and_delete:
-                        carrier.buffer.remove(m.msg_id)
+                        carrier.drop_copy(m.msg_id)
                     else:
                         self.ledger.on_admit(copy)
 
     def _instant_discard(self, msg_id: int, now: float) -> None:
         for node, router in self.routers.items():
-            router.delivered_ids.add(msg_id)
-            if msg_id in router.buffer:
-                v = router.buffer.remove(msg_id)
+            v = router.mark_delivered(msg_id)
+            if v is not None:
                 self.ledger.on_copy_gone(v, "antipacket")
                 self._line(now, "anti", node, None, msg_id)
 
@@ -240,7 +220,7 @@ class ReplayEngine:
                 self._on_contact_end(payload)
         end = self.trace.duration
         for node, router in self.routers.items():
-            for v in router.buffer.pop_expired(end):
+            for v in router.pop_expired(end):
                 self.ledger.on_copy_gone(v, "expired")
                 self._line(end, "expire", node, None, v.msg_id)
         return self.ledger.finalize(self.scenario.router, self.scenario.seed,

@@ -12,6 +12,7 @@ from ..energy import EnergyParams
 
 ROUTERS = ("prif", "prif-noprivacy", "epidemic", "prophet")
 CRYPTO_PRESETS = ("toy", "2048")
+ANTIPACKET_MODES = ("gossip", "instant", "off")
 MB = 1024 * 1024
 KB = 1024
 
@@ -93,6 +94,8 @@ class Scenario:
             raise ValueError(f"unknown router {self.router!r}; valid: {', '.join(ROUTERS)}")
         if self.crypto not in CRYPTO_PRESETS:
             raise ValueError(f"unknown crypto preset {self.crypto!r}; valid: {', '.join(CRYPTO_PRESETS)}")
+        if self.antipacket_mode not in ANTIPACKET_MODES:
+            raise ValueError(f"unknown antipacket mode {self.antipacket_mode!r}; valid: {', '.join(ANTIPACKET_MODES)}")
         if self.bus_community_mode not in ("uniform", "own"):
             raise ValueError("bus_community_mode must be 'uniform' or 'own'")
         if self.arrival_mode not in ("global", "per-node"):
@@ -191,6 +194,37 @@ def _parse_int_range(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+def _parse_area(text: str) -> tuple[float, float]:
+    w, _, h = text.partition("x")
+    return float(w), float(h)
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+# [scenario] key -> (Scenario field, parser); "preset" picks the base and the
+# energy keys override fields of the base's EnergyParams.
+_SCENARIO_KEYS = {
+    "area": ("area", _parse_area),
+    "message_interval": ("message_interval", _parse_range),
+    "message_size": ("message_size", _parse_int_range),
+    "buffer_mb": ("buffer_bytes", lambda text: int(float(text) * MB)),
+    "antipackets": ("antipacket_mode", str),
+    **{key: (key, int) for key in ("interests", "seed", "payload_token_bytes")},
+    **{key: (key, float) for key in ("ttl_min", "duration", "warmup", "mobility_dt",
+                                     "prophet_p_init", "prophet_beta", "prophet_gamma")},
+    **{key: (key, str) for key in ("router", "crypto", "bus_community_mode",
+                                   "arrival_mode")},
+    **{key: (key, _parse_bool) for key in ("forward_and_delete",
+                                           "charge_handshake_bytes")},
+}
+_ENERGY_KEYS = ("alpha", "beta", "gamma", "window")
+
+
 def scenario_from_ini(path: str | Path) -> Scenario:
     """Load a scenario from a key = value config with [scenario] and
     [group:<name>] sections; unknown keys are rejected with diagnostics."""
@@ -201,62 +235,16 @@ def scenario_from_ini(path: str | Path) -> Scenario:
     if "scenario" not in cp:
         raise ValueError(f"{path}: missing [scenario] section")
     sc = cp["scenario"]
-    known = {"preset", "area", "interests", "message_interval", "message_size",
-             "ttl_min", "buffer_mb", "duration", "warmup", "seed", "router",
-             "alpha", "beta", "gamma", "window", "antipackets",
-             "forward_and_delete", "charge_handshake_bytes", "crypto",
-             "bus_community_mode", "arrival_mode", "payload_token_bytes",
-             "prophet_p_init", "prophet_beta", "prophet_gamma", "mobility_dt"}
-    unknown = set(sc) - known
+    unknown = set(sc) - {"preset", *_SCENARIO_KEYS, *_ENERGY_KEYS}
     if unknown:
         raise ValueError(f"{path}: unknown scenario keys: {sorted(unknown)}")
 
     base = PRESETS[sc["preset"]]() if "preset" in sc else Scenario()
-    kw: dict = {}
-    if "area" in sc:
-        w, _, h = sc["area"].partition("x")
-        kw["area"] = (float(w), float(h))
-    if "interests" in sc:
-        kw["interests"] = sc.getint("interests")
-    if "message_interval" in sc:
-        kw["message_interval"] = _parse_range(sc["message_interval"])
-    if "message_size" in sc:
-        kw["message_size"] = _parse_int_range(sc["message_size"])
-    if "ttl_min" in sc:
-        kw["ttl_min"] = sc.getfloat("ttl_min")
-    if "buffer_mb" in sc:
-        kw["buffer_bytes"] = int(sc.getfloat("buffer_mb") * MB)
-    if "duration" in sc:
-        kw["duration"] = sc.getfloat("duration")
-    if "warmup" in sc:
-        kw["warmup"] = sc.getfloat("warmup")
-    if "seed" in sc:
-        kw["seed"] = sc.getint("seed")
-    if "router" in sc:
-        kw["router"] = sc["router"]
-    energy_kw = {}
-    for name in ("alpha", "beta", "gamma", "window"):
-        if name in sc:
-            energy_kw[name] = sc.getfloat(name)
+    kw = {name: parse(sc[key]) for key, (name, parse) in _SCENARIO_KEYS.items()
+          if key in sc}
+    energy_kw = {name: float(sc[name]) for name in _ENERGY_KEYS if name in sc}
     if energy_kw:
         kw["energy"] = replace(base.energy, **energy_kw)
-    if "antipackets" in sc:
-        kw["antipacket_mode"] = sc["antipackets"]
-    if "forward_and_delete" in sc:
-        kw["forward_and_delete"] = sc.getboolean("forward_and_delete")
-    if "charge_handshake_bytes" in sc:
-        kw["charge_handshake_bytes"] = sc.getboolean("charge_handshake_bytes")
-    if "crypto" in sc:
-        kw["crypto"] = sc["crypto"]
-    if "bus_community_mode" in sc:
-        kw["bus_community_mode"] = sc["bus_community_mode"]
-    if "arrival_mode" in sc:
-        kw["arrival_mode"] = sc["arrival_mode"]
-    if "payload_token_bytes" in sc:
-        kw["payload_token_bytes"] = sc.getint("payload_token_bytes")
-    for name in ("prophet_p_init", "prophet_beta", "prophet_gamma", "mobility_dt"):
-        if name in sc:
-            kw[name] = sc.getfloat(name)
 
     groups = []
     for section in cp.sections():

@@ -1,7 +1,7 @@
 import pytest
 
 from prif.energy import EnergyParams, InterEnergyRecord, IntraEnergyRecord
-from prif.routing import PrifRouter, RouterConfig
+from prif.routing import PrifRouter
 
 
 @pytest.fixture
@@ -9,12 +9,11 @@ def energy_params():
     return EnergyParams(alpha=0.3, beta=0.3, gamma=0.98, window=30.0)
 
 
-def make_plain_router(node, community, capacity=10_000_000,
-                      params=None, config=None):
+def make_plain_router(node, community, capacity=10_000_000, params=None):
     """Router with injectable state and no crypto, for decision-layer tests."""
     r = PrifRouter(node=node, interest=0, gid=str(community), cert=None,
                    auth_ctx=None, energy_params=params or EnergyParams(),
-                   capacity_bytes=capacity, config=config or RouterConfig())
+                   capacity_bytes=capacity)
     r.community = community
     r.energy.owner_community = community
     return r

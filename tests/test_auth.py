@@ -202,7 +202,7 @@ class TestHandshake:
                                         msg2_j, TOY, h1=h1_fn)
         assert auth.verify_confirmation(b_j, msg1_j, msg1_i, False, group.y,
                                         msg2_i, TOY, h1=h1_fn)
-        assert auth.same_group(msg1_i.gid, msg1_j.gid)
+        assert msg1_i.gid == msg1_j.gid
 
     def test_revoked_peer_rejected(self):
         group, cert_i, cert_j, h1_fn = toy_world()

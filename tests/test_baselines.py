@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prif.baselines import (EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter,
-                            ProphetState, epidemic_decide, prif_noprivacy_decide,
-                            prophet_update)
+                            ProphetState)
 from prif.energy import EnergyParams
 from prif.model import Message
 from prif.routing import Action, WireLog, interest_wire_bytes
@@ -38,23 +37,23 @@ class TestEpidemic:
 
     def test_relay_when_peer_lacks(self):
         a, b = self._pair()
-        assert epidemic_decide(a, b, msg()).action is Action.RELAY
+        assert a.decide(b, msg(), NOW).action is Action.RELAY
 
     def test_hold_when_peer_has_copy(self):
         a, b = self._pair()
         m = msg()
         b.admit(m, NOW)
-        assert epidemic_decide(a, b, m).action is Action.HOLD
+        assert a.decide(b, m, NOW).action is Action.HOLD
 
     def test_deliver_at_destination(self):
         a, b = self._pair()
-        assert epidemic_decide(a, b, msg(destination=1)).action is Action.DELIVER
+        assert a.decide(b, msg(destination=1), NOW).action is Action.DELIVER
 
     def test_hold_when_peer_already_delivered(self):
         a, b = self._pair()
         m = msg()
         b.delivered_ids.add(m.msg_id)
-        assert epidemic_decide(a, b, m).action is Action.HOLD
+        assert a.decide(b, m, NOW).action is Action.HOLD
 
     def test_drop_oldest_eviction(self):
         a = EpidemicRouter(0, 0, 300)
@@ -71,22 +70,18 @@ class TestEpidemic:
 class TestProphetUpdates:
     def test_first_encounter_from_zero(self):
         s = ProphetState(owner=0)
-        prophet_update(s, "encounter", peer=5)
+        s.encounter(5)
         assert s.p[5] == pytest.approx(0.75)
 
     def test_aging_two_windows(self):
         s = ProphetState(owner=0, p={5: 0.75}, last_aged_at=0.0)
-        prophet_update(s, "age", now=60.0)
+        s.age(60.0)
         assert s.p[5] == pytest.approx(0.75 * 0.9604)
 
     def test_transitive_from_zero(self):
         s = ProphetState(owner=0, p={1: 0.75})
-        prophet_update(s, "transitive", via=1, peer_vector=[(2, 0.75)])
+        s.transitive(1, [(2, 0.75)])
         assert s.p[2] == pytest.approx(0.140625)
-
-    def test_unknown_event_rejected(self):
-        with pytest.raises(ValueError):
-            prophet_update(ProphetState(owner=0), "bogus")
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["encounter", "age", "transitive"]),
@@ -98,12 +93,11 @@ class TestProphetUpdates:
         for kind, peer, dt in events:
             now += dt
             if kind == "encounter":
-                prophet_update(s, "encounter", peer=peer)
+                s.encounter(peer)
             elif kind == "age":
-                prophet_update(s, "age", now=now)
+                s.age(now)
             else:
-                prophet_update(s, "transitive", via=peer,
-                               peer_vector=[(peer + 1, 0.9), (peer + 2, 0.4)])
+                s.transitive(peer, [(peer + 1, 0.9), (peer + 2, 0.4)])
             assert all(0.0 <= v <= 1.0 for v in s.p.values())
 
 
@@ -157,7 +151,7 @@ class TestNoPrivacy:
             set_intra(a, idest, rng.choice([0.0, 0.1, 0.1, 0.5]), NOW)
             set_intra(b, idest, rng.choice([0.0, 0.1, 0.1, 0.5]), NOW)
             m = msg(destination=9, dest_interest=idest, dest_gid=str(idest))
-            got = prif_noprivacy_decide(a, b, m, NOW).action.value
+            got = a.decide(b, m, NOW).action.value
 
             pa = make_plain_router(0, ia)
             pb = make_plain_router(1, ib)

@@ -106,6 +106,23 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 1
 
+    def test_trace_with_sweep_is_usage_error(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["run", "--config", str(mini_config), "--sweep", "buffer",
+                     "--values", "2", "--trace", "--out", str(out)])
+        assert code == 1
+        assert "--trace" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_antipacket_mode_rejected_at_load(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(MINI_INI.replace("router = prif\n",
+                                        "router = prif\nantipackets = bogus\n"))
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert "antipacket" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlotdata:
     def _make_sweep(self, mini_config, tmp_path):
@@ -190,6 +207,13 @@ class TestKeytool:
         assert main(["keytool", "register", "--store", str(store),
                      "--gid", "NOPE"]) == 2
         assert "unknown group" in capsys.readouterr().err
+
+    def test_parameter_search_failure_is_runtime_error(self, tmp_path, capsys):
+        store = tmp_path / "fresh.json"
+        assert main(["keytool", "setup", "--store", str(store),
+                     "--params", "fresh", "--bits-p", "8", "--bits-q", "4"]) == 2
+        assert "retry budget" in capsys.readouterr().err
+        assert not store.exists()
 
     def test_fresh_params_setup(self, tmp_path, capsys):
         store = tmp_path / "fresh.json"

@@ -1,8 +1,13 @@
+import hashlib
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from prif.baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
+from prif.routing import PrifRouter
 from prif.sim import (GroupSpec, Scenario, apply_axis, build_trace, desk_preset,
                       paper_preset, run, run_sweep, scenario_from_ini)
 from prif.sim import kernels, mobility
@@ -199,6 +204,31 @@ class TestScenario:
         assert scenario_from_ini("configs/desk.ini") == desk_preset()
         assert scenario_from_ini("configs/paper.ini") == paper_preset()
 
+    def test_ini_sets_every_scenario_key(self, tmp_path):
+        path = tmp_path / "all.ini"
+        path.write_text(
+            "[scenario]\npreset = desk\narea = 900x700\ninterests = 4\n"
+            "message_interval = 10:20\nmessage_size = 1000:2000\n"
+            "ttl_min = 30\nbuffer_mb = 1.5\nduration = 900\nwarmup = 100\n"
+            "seed = 9\nrouter = prophet\nalpha = 0.4\nwindow = 60\n"
+            "antipackets = instant\nforward_and_delete = yes\n"
+            "charge_handshake_bytes = true\ncrypto = 2048\n"
+            "bus_community_mode = own\narrival_mode = per-node\n"
+            "payload_token_bytes = 32\nprophet_p_init = 0.5\n"
+            "prophet_beta = 0.2\nprophet_gamma = 0.9\nmobility_dt = 2\n")
+        base = desk_preset()
+        assert scenario_from_ini(path) == base.with_overrides(
+            area=(900.0, 700.0), interests=4, message_interval=(10.0, 20.0),
+            message_size=(1000, 2000), ttl_min=30.0,
+            buffer_bytes=int(1.5 * MB), duration=900.0, warmup=100.0, seed=9,
+            router="prophet",
+            energy=replace(base.energy, alpha=0.4, window=60.0),
+            antipacket_mode="instant", forward_and_delete=True,
+            charge_handshake_bytes=True, crypto="2048",
+            bus_community_mode="own", arrival_mode="per-node",
+            payload_token_bytes=32, prophet_p_init=0.5, prophet_beta=0.2,
+            prophet_gamma=0.9, mobility_dt=2.0)
+
     def test_ini_unknown_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[scenario]\nbogus_key = 1\n")
@@ -330,6 +360,15 @@ class TestRun:
                  + rep.buffered_at_end + rep.rejected)
         assert parts == rep.created
 
+    @pytest.mark.parametrize("router,cls,gossips", [
+        ("prif", PrifRouter, True), ("prif-noprivacy", NoPrivacyPrifRouter, True),
+        ("epidemic", EpidemicRouter, False), ("prophet", ProphetRouter, False)])
+    def test_gossip_antipackets_only_for_prif_flavours(self, router, cls, gossips):
+        assert cls.gossips_antipackets is gossips
+        lines = []
+        run(mini_scenario(router=router), trace_lines=lines)
+        assert any(line.split()[1] == "anti" for line in lines) is gossips
+
     def test_charge_handshake_bytes_runs(self):
         rep = run(mini_scenario(charge_handshake_bytes=True))
         assert rep.created > 0
@@ -346,6 +385,51 @@ class TestRun:
             kinds.add(parts[1])
         assert "create" in kinds and "contact_start" in kinds
         assert "deliver" in kinds
+
+
+# Digests of the report JSON and of the event trace, pinned when the router
+# classes were merged onto one base.  Besides criterion 8's rerun check this
+# is the only byte-level guard on the instant anti-packet and
+# forward-and-delete branches of the engine.
+GOLDEN = {
+    ("gossip", "prif"): ("b547ae8807949424bcd8c2815873a04dff819b3fa2c95f0079d04b91e5aac97b",
+                         "7fea3d9e76c50072fc0d7523da7f7d95b4001a486842a5d1e3ceabec5eb035a6"),
+    ("gossip", "prif-noprivacy"): ("7d8238fffc31f25673d8974905aa5f0026f9d31b4990f2987acfb448b4277c62",
+                                   "7fea3d9e76c50072fc0d7523da7f7d95b4001a486842a5d1e3ceabec5eb035a6"),
+    ("gossip", "epidemic"): ("02c1cdc6a694f82b02f6ce2760d0cb46bdec42685c608b03473ef1ade1f47c20",
+                             "1d71667ac5cda5bd8fd2e29b2f2e3bbe889848e33f931d5b6a567be66761c9ff"),
+    ("gossip", "prophet"): ("6d727d490330dfee97d66a62e951463e9d7d80972c7e86270bcfe96fe8846157",
+                            "0f9e748d1b31676b760831f704e5221c91fc4ca178f289519e5d6b751b473be3"),
+    ("instant", "prif"): ("011b019f235753750334db63ecf6cfc92604ac1b54df5697541639c779d9b3af",
+                          "c16a1c10b71943eac0c24dda301349592ab289eddb848b57cee990da72de1a90"),
+    ("instant", "prif-noprivacy"): ("ecd88e89d9b9dfe2f2923e787689c3973fc067724b30779cb421b574de833a52",
+                                    "c16a1c10b71943eac0c24dda301349592ab289eddb848b57cee990da72de1a90"),
+    ("instant", "epidemic"): ("84294172654d7dcf119516a0c9d0b5cb403695a546a316ccc7e7faafd00c7296",
+                              "2437dbce16671a84689e6c14201cfd808c12c67f1ebb87ad95d143ec32c780cb"),
+    ("instant", "prophet"): ("096e4105d6c7e75f9803f2174f3ec5df93b8c88b9f606f06b074f4916d87ab62",
+                             "c873bf05e4014a7050565dc41dfd9fbf267a213daafffd5d5bc50b2080700949"),
+    ("forward-and-delete", "prif"): ("4c63a542f41a857fbc2e45a08055d8599bd4f7c231d7973612f5582c38ee0366",
+                                     "351f96dbd83518ae84c1f830eb7e2a4e47f16846692bc423fdc15f31ab637177"),
+    ("forward-and-delete", "prif-noprivacy"): ("50b7f0bc3a4ea1066dee0a98a2f95195b3974e2ba4cd6b52650670a2ecaf5e47",
+                                               "351f96dbd83518ae84c1f830eb7e2a4e47f16846692bc423fdc15f31ab637177"),
+    ("forward-and-delete", "epidemic"): ("bacb475af96818453a5ae3a28a514d1e156a6a910217d17c1e70c9e9c13f38a3",
+                                         "4c2099fd440c4731fbac15c9e11ae23b90446cc0968bfe3939857fa285484a64"),
+    ("forward-and-delete", "prophet"): ("53b7b72c264a4060e1104f918a4f1478cc9cd2a870deba45db166f7a706ea48a",
+                                        "179fdda0c2d5099acf9f5510860aa4bf306e50f92af2e699f784986cd1cf05df"),
+}
+
+
+class TestGoldenDigest:
+    @pytest.mark.parametrize("mode,router", sorted(GOLDEN))
+    def test_report_and_trace_unchanged(self, mode, router):
+        kw = ({"forward_and_delete": True} if mode == "forward-and-delete"
+              else {"antipacket_mode": mode})
+        lines = []
+        rep = run(mini_scenario(router=router, **kw), trace_lines=lines)
+        report = json.dumps(rep.to_dict(), sort_keys=True).encode()
+        got = (hashlib.sha256(report).hexdigest(),
+               hashlib.sha256("\n".join(lines).encode()).hexdigest())
+        assert got == GOLDEN[(mode, router)]
 
 
 class TestSweep:
