@@ -128,9 +128,6 @@ class RevocationList:
     def __len__(self) -> int:
         return len(self._revoked)
 
-    def snapshot(self) -> frozenset[str]:
-        return frozenset(self._revoked)
-
 
 @dataclass(frozen=True)
 class HandshakeMsg1:

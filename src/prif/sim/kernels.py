@@ -1,57 +1,34 @@
 """Hot numeric kernels: waypoint position interpolation and contact scanning.
 
-Both kernels exist twice: a numba ``@njit`` build and a pure-numpy build
-with identical floating-point semantics (same expressions, same evaluation
-order per element), verified equal by the test suite.  Selection: numba is
-used when importable unless the environment variable ``PRIF_NO_NUMBA`` is
-set to ``1``/``true``/``yes``, which forces the numpy path.
-``benchmarks/bench_kernels.py`` times the two side by side.
-
 Positions are piecewise-linear in time: each itinerary leg starts at
 (x0, y0) at t0, moves with velocity (vx, vy) until ``tarr``, then sits at
 the waypoint (x1, y1) until the next leg starts.  Contact scanning compares
 squared pairwise distances against the squared pairwise minimum radio range
-every tick and emits adjacency transitions.
+every tick and emits adjacency transitions.  It culls pairs per block of
+ticks with node bounding boxes and tests only the survivors, with the same
+float expression an all-pairs scan uses, so its output is bit-identical to
+testing every pair at every tick.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "PRIF_NO_NUMBA"
+# Read by the benchmark's environment report; there is one (numpy) path.
+USE_NUMBA = False
+
+# Extra reach on the box test.  Box gaps never exceed the true per-tick
+# distances (rounding is monotonic), so none is needed; it is margin only.
+_REL_SLACK = 1e-9
+_ABS_SLACK = 1e-6
 
 
-def numba_disabled_by_env() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in ("1", "true", "yes")
-
-
-try:
-    from numba import njit as _njit
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def _njit(*a, **k):
-        def deco(fn):
-            return fn
-        return deco
-
-
-USE_NUMBA = HAVE_NUMBA and not numba_disabled_by_env()
-
-
-# ---------------------------------------------------------------------------
-# position interpolation
-# ---------------------------------------------------------------------------
-
-def positions_numpy(leg_off: np.ndarray, leg_t0: np.ndarray,
-                    leg_x0: np.ndarray, leg_y0: np.ndarray,
-                    leg_x1: np.ndarray, leg_y1: np.ndarray,
-                    leg_vx: np.ndarray, leg_vy: np.ndarray,
-                    leg_tarr: np.ndarray, ticks: np.ndarray) -> np.ndarray:
-    """(T, N, 2) positions at the given times, numpy path."""
+def positions(leg_off: np.ndarray, leg_t0: np.ndarray,
+              leg_x0: np.ndarray, leg_y0: np.ndarray,
+              leg_x1: np.ndarray, leg_y1: np.ndarray,
+              leg_vx: np.ndarray, leg_vy: np.ndarray,
+              leg_tarr: np.ndarray, ticks: np.ndarray) -> np.ndarray:
+    """(T, N, 2) positions at the given times."""
     n_nodes = leg_off.shape[0] - 1
     out = np.empty((ticks.shape[0], n_nodes, 2), dtype=np.float64)
     for n in range(n_nodes):
@@ -67,141 +44,51 @@ def positions_numpy(leg_off: np.ndarray, leg_t0: np.ndarray,
     return out
 
 
-@_njit(cache=True)
-def _positions_numba_impl(leg_off, leg_t0, leg_x0, leg_y0, leg_x1, leg_y1,
-                          leg_vx, leg_vy, leg_tarr, ticks):  # pragma: no cover
-    n_ticks = ticks.shape[0]
-    n_nodes = leg_off.shape[0] - 1
-    out = np.empty((n_ticks, n_nodes, 2), dtype=np.float64)
-    for n in range(n_nodes):
-        lo = leg_off[n]
-        hi = leg_off[n + 1]
-        idx = lo
-        for ti in range(n_ticks):
-            t = ticks[ti]
-            while idx + 1 < hi and leg_t0[idx + 1] <= t:
-                idx += 1
-            while idx > lo and leg_t0[idx] > t:
-                idx -= 1
-            if t < leg_tarr[idx]:
-                dt = t - leg_t0[idx]
-                out[ti, n, 0] = leg_x0[idx] + leg_vx[idx] * dt
-                out[ti, n, 1] = leg_y0[idx] + leg_vy[idx] * dt
-            else:
-                out[ti, n, 0] = leg_x1[idx]
-                out[ti, n, 1] = leg_y1[idx]
-    return out
+def transitions(pos: np.ndarray, minr2: np.ndarray, adj: np.ndarray,
+                chunk: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                          np.ndarray, np.ndarray]:
+    """Adjacency transitions over the ticks of ``pos``.
 
-
-def positions_numba(leg_off, leg_t0, leg_x0, leg_y0, leg_x1, leg_y1,
-                    leg_vx, leg_vy, leg_tarr, ticks) -> np.ndarray:
-    """(T, N, 2) positions at the given times, numba path."""
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    return _positions_numba_impl(leg_off, leg_t0, leg_x0, leg_y0, leg_x1,
-                                 leg_y1, leg_vx, leg_vy, leg_tarr, ticks)
-
-
-# ---------------------------------------------------------------------------
-# contact transition scanning
-# ---------------------------------------------------------------------------
-
-def transitions_numpy(pos: np.ndarray, minr2: np.ndarray, adj: np.ndarray,
-                      chunk: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]:
-    """Adjacency transitions over a tick block, numpy path.
-
-    Returns (tick_idx, i, j, started, final_adjacency); ``adj`` is the
-    upper-triangular adjacency before the first tick of the block.
+    Returns (tick_idx, i, j, started, final_adjacency) in (tick, i, j)
+    order; ``adj`` is the upper-triangular adjacency before the first tick.
+    Per block of ``chunk`` ticks, a pair is tested only if it is adjacent
+    at the block's start or the nodes' bounding boxes over the block come
+    within the pair's range plus slack; no other pair can be in range at
+    any tick of the block.
     """
     n_ticks, n_nodes, _ = pos.shape
-    iu = np.triu(np.ones((n_nodes, n_nodes), dtype=bool), k=1)
+    pi, pj = np.triu_indices(n_nodes, k=1)
+    pair_r2 = minr2[pi, pj]
+    reach = np.sqrt(pair_r2) * (1.0 + _REL_SLACK) + _ABS_SLACK
+    reach2 = reach * reach
+    prev = adj[pi, pj]
+    xs = np.ascontiguousarray(pos[:, :, 0])
+    ys = np.ascontiguousarray(pos[:, :, 1])
     parts_t: list[np.ndarray] = []
-    parts_i: list[np.ndarray] = []
-    parts_j: list[np.ndarray] = []
+    parts_p: list[np.ndarray] = []
     parts_k: list[np.ndarray] = []
-    prev = adj.copy()
     for c0 in range(0, n_ticks, chunk):
-        block = pos[c0:c0 + chunk]
-        dx = block[:, :, None, 0] - block[:, None, :, 0]
-        dy = block[:, :, None, 1] - block[:, None, :, 1]
-        within = (dx * dx + dy * dy <= minr2) & iu
-        seq = np.concatenate([prev[None], within], axis=0)
-        changed = seq[1:] != seq[:-1]
-        tt, ii, jj = np.nonzero(changed)
+        bx, by = xs[c0:c0 + chunk], ys[c0:c0 + chunk]
+        xlo, xhi = bx.min(axis=0), bx.max(axis=0)
+        ylo, yhi = by.min(axis=0), by.max(axis=0)
+        gx = np.maximum(np.maximum(xlo[pj] - xhi[pi], xlo[pi] - xhi[pj]), 0.0)
+        gy = np.maximum(np.maximum(ylo[pj] - yhi[pi], ylo[pi] - yhi[pj]), 0.0)
+        cand = np.flatnonzero((gx * gx + gy * gy <= reach2) | prev)
+        ci, cj = pi[cand], pj[cand]
+        dx = bx[:, ci] - bx[:, cj]
+        dy = by[:, ci] - by[:, cj]
+        within = dx * dx + dy * dy <= pair_r2[cand]
+        seq = np.concatenate([prev[cand][None], within], axis=0)
+        tt, kk = np.nonzero(seq[1:] != seq[:-1])
         parts_t.append(tt + c0)
-        parts_i.append(ii)
-        parts_j.append(jj)
-        parts_k.append(within[tt, ii, jj])
-        prev = within[-1] if len(within) else prev
-    return (np.concatenate(parts_t), np.concatenate(parts_i),
-            np.concatenate(parts_j), np.concatenate(parts_k), prev)
-
-
-@_njit(cache=True)
-def _transitions_count_numba(pos, minr2, adj):  # pragma: no cover
-    n_ticks, n_nodes, _ = pos.shape
-    work = adj.copy()
-    count = 0
-    for ti in range(n_ticks):
-        for i in range(n_nodes):
-            xi = pos[ti, i, 0]
-            yi = pos[ti, i, 1]
-            for j in range(i + 1, n_nodes):
-                dx = xi - pos[ti, j, 0]
-                dy = yi - pos[ti, j, 1]
-                within = dx * dx + dy * dy <= minr2[i, j]
-                if within != work[i, j]:
-                    count += 1
-                    work[i, j] = within
-    return count
-
-
-@_njit(cache=True)
-def _transitions_fill_numba(pos, minr2, adj, out_t, out_i, out_j, out_k):  # pragma: no cover
-    n_ticks, n_nodes, _ = pos.shape
-    k = 0
-    for ti in range(n_ticks):
-        for i in range(n_nodes):
-            xi = pos[ti, i, 0]
-            yi = pos[ti, i, 1]
-            for j in range(i + 1, n_nodes):
-                dx = xi - pos[ti, j, 0]
-                dy = yi - pos[ti, j, 1]
-                within = dx * dx + dy * dy <= minr2[i, j]
-                if within != adj[i, j]:
-                    out_t[k] = ti
-                    out_i[k] = i
-                    out_j[k] = j
-                    out_k[k] = within
-                    adj[i, j] = within
-                    k += 1
-    return k
-
-
-def transitions_numba(pos: np.ndarray, minr2: np.ndarray, adj: np.ndarray,
-                      chunk: int = 64) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]:
-    """Adjacency transitions over a tick block, numba path (two passes)."""
-    if not HAVE_NUMBA:
-        raise RuntimeError("numba is not available")
-    count = _transitions_count_numba(pos, minr2, adj)
-    out_t = np.empty(count, dtype=np.int64)
-    out_i = np.empty(count, dtype=np.int64)
-    out_j = np.empty(count, dtype=np.int64)
-    out_k = np.empty(count, dtype=np.bool_)
-    final = adj.copy()
-    _transitions_fill_numba(pos, minr2, final, out_t, out_i, out_j, out_k)
-    return out_t, out_i, out_j, out_k, final
-
-
-def positions(*args, **kwargs) -> np.ndarray:
-    if USE_NUMBA:
-        return positions_numba(*args, **kwargs)
-    return positions_numpy(*args, **kwargs)
-
-
-def transitions(*args, **kwargs):
-    if USE_NUMBA:
-        return transitions_numba(*args, **kwargs)
-    return transitions_numpy(*args, **kwargs)
+        parts_p.append(cand[kk])
+        parts_k.append(within[tt, kk])
+        prev[cand] = within[-1]
+    final = np.zeros((n_nodes, n_nodes), dtype=bool)
+    final[pi, pj] = prev
+    if not parts_t:
+        return (np.empty(0, np.int64), np.empty(0, np.int64),
+                np.empty(0, np.int64), np.empty(0, bool), final)
+    p = np.concatenate(parts_p)
+    return (np.concatenate(parts_t), pi[p], pj[p],
+            np.concatenate(parts_k), final)

@@ -3,9 +3,12 @@
 These deliberately re-derive the update recurrences from scratch (explicit
 scalar loops over event scripts) instead of reusing any table machinery, so
 they can catch bookkeeping mistakes in the incremental implementations.
+The all-pairs contact scan is the reference the culled kernel must match.
 """
 
 import math
+
+import numpy as np
 
 
 def inter_script_oracle(contacts, alpha, gamma, window, read_time):
@@ -88,3 +91,31 @@ def forwarding_reference(peer_is_dest, carrier_comm, peer_comm, dest_comm,
     if intra_carrier_dest < intra_peer_dest:
         return "relay"
     return "hold"
+
+
+def all_pairs_transitions(pos, minr2, adj, chunk=64):
+    """Contact transitions by testing every pair at every tick.
+
+    Reference for ``prif.sim.kernels.transitions``: squared distance of
+    every pair against ``minr2`` at every tick, returning (tick_idx, i, j,
+    started, final_adjacency) in (tick, i, j) order.
+    """
+    n_ticks, n_nodes, _ = pos.shape
+    iu = np.triu(np.ones((n_nodes, n_nodes), dtype=bool), k=1)
+    parts_t, parts_i, parts_j, parts_k = [], [], [], []
+    prev = adj.copy()
+    for c0 in range(0, n_ticks, chunk):
+        block = pos[c0:c0 + chunk]
+        dx = block[:, :, None, 0] - block[:, None, :, 0]
+        dy = block[:, :, None, 1] - block[:, None, :, 1]
+        within = (dx * dx + dy * dy <= minr2) & iu
+        seq = np.concatenate([prev[None], within], axis=0)
+        changed = seq[1:] != seq[:-1]
+        tt, ii, jj = np.nonzero(changed)
+        parts_t.append(tt + c0)
+        parts_i.append(ii)
+        parts_j.append(jj)
+        parts_k.append(within[tt, ii, jj])
+        prev = within[-1] if len(within) else prev
+    return (np.concatenate(parts_t), np.concatenate(parts_i),
+            np.concatenate(parts_j), np.concatenate(parts_k), prev)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from prif.baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
 from prif.routing import PrifRouter
 from prif.sim import (GroupSpec, Scenario, apply_axis, build_trace, desk_preset,
                       paper_preset, run, run_sweep, scenario_from_ini)
-from prif.sim import kernels, mobility
-from prif.sim.trace import assign_interests, build_plan
+from prif.sim import kernels, mobility, trace
+from prif.sim.trace import assign_interests, build_contacts, build_plan
+
+from oracles import all_pairs_transitions
 
 MB = 1024 * 1024
 
@@ -42,8 +45,25 @@ def stationary_legs(points):
 
 
 # ---------------------------------------------------------------------------
-# kernels: numba and numpy paths must agree exactly
+# kernels: the culled contact scan must match the all-pairs scan exactly
 # ---------------------------------------------------------------------------
+
+def assert_same_transitions(pos, minr2, adj, **kw):
+    want = all_pairs_transitions(pos, minr2, adj)
+    got = kernels.transitions(pos, minr2, adj, **kw)
+    for w, g in zip(want, got):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    return got
+
+
+def pair_track(near_ticks, n_ticks):
+    """(T, 2, 2) positions: node 0 parked at the origin, node 1 5 m away on
+    ``near_ticks`` and 500 m away on every other tick."""
+    pos = np.zeros((n_ticks, 2, 2))
+    pos[:, 1] = (500.0, 0.0)
+    pos[near_ticks, 1] = (5.0, 0.0)
+    return pos
+
 
 class TestKernels:
     def _random_legs(self, seed=0, n_nodes=12):
@@ -54,46 +74,88 @@ class TestKernels:
                                           np.full(n_nodes, 20.0),
                                           2000.0, seed)
 
-    def test_env_flag_parsing(self, monkeypatch):
-        monkeypatch.setenv("PRIF_NO_NUMBA", "1")
-        assert kernels.numba_disabled_by_env()
-        monkeypatch.setenv("PRIF_NO_NUMBA", "")
-        assert not kernels.numba_disabled_by_env()
+    @pytest.mark.parametrize("preset,duration", [(desk_preset(), 2000.0),
+                                                 (paper_preset(), 400.0)],
+                             ids=["desk", "paper"])
+    def test_matches_all_pairs_scan_on_presets(self, monkeypatch, preset,
+                                               duration):
+        n_moves = []
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_positions_parity(self):
-        legs = self._random_legs(seed=3)
-        ticks = np.arange(0.0, 2000.0, 1.0)
-        args = (legs.leg_off, legs.t0, legs.x0, legs.y0, legs.x1, legs.y1,
-                legs.vx, legs.vy, legs.tarr, ticks)
-        a = kernels.positions_numpy(*args)
-        b = kernels.positions_numba(*args)
-        assert np.array_equal(a, b)
+        def checked(pos, minr2, adj):
+            # two calls split mid-chunk, carrying the adjacency across
+            cut = pos.shape[0] // 2 + 5
+            first = assert_same_transitions(pos[:cut], minr2, adj)
+            second = assert_same_transitions(pos[cut:], minr2, first[4])
+            n_moves.append(first[0].size + second[0].size)
+            return kernels.transitions(pos, minr2, adj)
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_transitions_parity(self):
+        monkeypatch.setattr(trace, "kernels", SimpleNamespace(
+            positions=kernels.positions, transitions=checked))
+        for seed in range(20):
+            build_contacts(preset.with_overrides(seed=seed, duration=duration,
+                                                 warmup=0.0))
+        assert len(n_moves) == 20 and sum(n_moves) > 20
+
+    def test_pair_at_exact_range_is_in_contact(self):
+        rng = np.random.default_rng(1)
+        pos = rng.uniform(0.0, 300.0, size=(1, 2, 2))
+        dx = pos[0, 0, 0] - pos[0, 1, 0]
+        dy = pos[0, 0, 1] - pos[0, 1, 1]
+        edge = dx * dx + dy * dy
+        adj = np.zeros((2, 2), dtype=bool)
+        for r2, inside in ((edge, True), (np.nextafter(edge, 0.0), False)):
+            minr2 = np.full((2, 2), r2)
+            got = assert_same_transitions(pos, minr2, adj)
+            assert got[3].tolist() == ([True] if inside else [])
+
+    def test_adjacent_pair_separating_at_block_first_tick(self):
+        pos = pair_track(near_ticks=slice(0, 4), n_ticks=8)
+        minr2 = np.full((2, 2), 100.0)
+        got = assert_same_transitions(pos, minr2, np.zeros((2, 2), bool),
+                                      chunk=4)
+        assert got[0].tolist() == [0, 4] and got[3].tolist() == [True, False]
+
+    def test_adjacent_at_call_start_separating_at_first_tick(self):
+        pos = pair_track(near_ticks=[], n_ticks=4)
+        adj = np.zeros((2, 2), dtype=bool)
+        adj[0, 1] = True
+        got = assert_same_transitions(pos, np.full((2, 2), 100.0), adj,
+                                      chunk=4)
+        assert got[0].tolist() == [0] and got[3].tolist() == [False]
+        assert not got[4].any()
+
+    def test_pair_meeting_at_block_last_tick(self):
+        pos = pair_track(near_ticks=[7], n_ticks=12)
+        got = assert_same_transitions(pos, np.full((2, 2), 100.0),
+                                      np.zeros((2, 2), bool), chunk=4)
+        assert got[0].tolist() == [7, 8] and got[3].tolist() == [True, False]
+
+    def test_mixed_radio_ranges(self):
+        legs = self._random_legs(seed=6)
+        pos = mobility.positions_at(legs, np.arange(0.0, 2000.0, 1.0))
+        # pedestrians, cars and buses: every pair uses the smaller range
+        ranges = np.array([10.0] * 4 + [30.0] * 4 + [100.0] * 4)
+        minr2 = mobility.min_range_matrix(ranges)
+        got = assert_same_transitions(pos, minr2, np.zeros((12, 12), bool))
+        assert got[0].size > 0
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 5000])
+    def test_chunk_size_does_not_change_output(self, chunk):
         legs = self._random_legs(seed=4)
-        ticks = np.arange(0.0, 2000.0, 1.0)
-        pos = kernels.positions_numpy(legs.leg_off, legs.t0, legs.x0, legs.y0,
-                                      legs.x1, legs.y1, legs.vx, legs.vy,
-                                      legs.tarr, ticks)
+        pos = mobility.positions_at(legs, np.arange(0.0, 1999.0, 1.0))
         minr2 = mobility.min_range_matrix(np.full(12, 60.0))
-        adj = np.zeros((12, 12), dtype=bool)
-        out_np = kernels.transitions_numpy(pos, minr2, adj.copy())
-        out_nb = kernels.transitions_numba(pos, minr2, adj.copy())
-        for a, b in zip(out_np, out_nb):
-            assert np.array_equal(a, b)
-        assert out_np[0].size > 0, "want a non-trivial transition stream"
+        got = assert_same_transitions(pos, minr2, np.zeros((12, 12), bool),
+                                      chunk=chunk)
+        assert got[0].size > 0
 
-    @pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-    def test_full_trace_identical_across_paths(self, monkeypatch):
-        sc = mini_scenario(duration=1500.0)
-        monkeypatch.setattr(kernels, "USE_NUMBA", True)
-        t1 = build_trace(sc)
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
-        t2 = build_trace(sc)
-        assert t1.contacts == t2.contacts
-        assert t1.plan == t2.plan
+    def test_zero_ticks(self):
+        adj = np.zeros((3, 3), dtype=bool)
+        adj[0, 2] = True
+        tt, ii, jj, started, final = kernels.transitions(
+            np.empty((0, 3, 2)), np.full((3, 3), 100.0), adj)
+        assert tt.size == ii.size == jj.size == started.size == 0
+        assert np.array_equal(final, adj)
+        assert final is not adj
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +210,7 @@ class TestContactThresholds:
         legs = stationary_legs(points)
         minr2 = mobility.min_range_matrix(np.asarray(ranges, dtype=np.float64))
         pos = mobility.positions_at(legs, np.array([0.0]))
-        tt, ii, jj, started, adj = kernels.transitions_numpy(
+        tt, ii, jj, started, adj = kernels.transitions(
             pos, minr2, np.zeros((len(points), len(points)), dtype=bool))
         return {(int(i), int(j)) for i, j, s in zip(ii, jj, started) if s}
 
