@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import auth
-from .sim.engine import SWEEP_AXES, TRACE_SCHEMA, run, run_sweep
+from .sim.engine import SWEEP_AXES, TRACE_SCHEMA, run_sweep
 from .sim.metrics import MetricsReport
 from .sim.scenario import PRESETS, ROUTERS, desk_preset, scenario_from_ini
 
@@ -39,10 +39,6 @@ def _parse_list(text: str, conv):
         raise click.UsageError(f"cannot parse list {text!r}: {exc}")
 
 
-def _fmt_value(v: float) -> str:
-    return f"{v:g}"
-
-
 @cli.command("run")
 @click.option("--config", "config_path", type=click.Path(), default=None,
               help="scenario INI file")
@@ -58,7 +54,8 @@ def _fmt_value(v: float) -> str:
 @click.option("--out", "out_dir", type=click.Path(), required=True)
 @click.option("--format", "formats", default="csv,json",
               help="any of csv,json (comma-separated)")
-@click.option("--jobs", default=1, show_default=True, help="parallel seed workers")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+              help="parallel seed workers, with or without --sweep")
 @click.option("--trace/--no-trace", "want_trace", default=False,
               help="also write per-run event traces")
 def cmd_run(config_path, preset, routers_opt, axis, values, seeds, out_dir,
@@ -84,7 +81,7 @@ def cmd_run(config_path, preset, routers_opt, axis, values, seeds, out_dir,
         raise click.UsageError("--sweep and --values go together")
     if axis is not None and want_trace:
         raise click.UsageError("--trace applies to single runs only, not to --sweep")
-    value_list = _parse_list(values, float) if values else None
+    value_list = _parse_list(values, float) if axis else [0.0]
     seed_list = _parse_list(seeds, int) if seeds else [scenario.seed]
     fmt_set = set(_parse_list(formats, str))
     if not fmt_set <= {"csv", "json"}:
@@ -93,32 +90,18 @@ def cmd_run(config_path, preset, routers_opt, axis, values, seeds, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    reports: list[MetricsReport] = []
-    for router in routers:
-        sc = scenario.with_overrides(router=router)
-        if axis is not None:
-            reports.extend(run_sweep(sc, axis, value_list, seed_list, jobs=jobs))
-        else:
-            for seed in seed_list:
-                sc_seed = sc.with_overrides(seed=seed)
-                if want_trace:
-                    lines: list[str] = []
-                    rep = run(sc_seed, trace_lines=lines)
-                    name = f"trace_{router}_seed{seed}.txt"
-                    (out / name).write_text(
-                        f"# {TRACE_SCHEMA}\n" + "\n".join(lines) + "\n")
-                else:
-                    rep = run(sc_seed)
-                reports.append(rep)
-
-    reports.sort(key=lambda r: (r.router, r.axis, r.axis_value, r.seed))
+    lines = {} if want_trace else None
+    reports = run_sweep(scenario, routers, axis or "none", value_list, seed_list,
+                        jobs=jobs, trace_lines=lines)
+    for (router, _, seed), run_lines in (lines or {}).items():
+        (out / f"trace_{router}_seed{seed}.txt").write_text(
+            f"# {TRACE_SCHEMA}\n" + "\n".join(run_lines) + "\n")
     if "csv" in fmt_set:
         write_reports_csv(out / "sweep.csv", reports)
         click.echo(f"wrote {out / 'sweep.csv'} ({len(reports)} rows)")
     if "json" in fmt_set:
         for rep in reports:
-            name = (f"run_{rep.router}_{rep.axis}-{_fmt_value(rep.axis_value)}"
-                    f"_seed{rep.seed}.json")
+            name = f"run_{rep.router}_{rep.axis}-{rep.axis_value:g}_seed{rep.seed}.json"
             (out / name).write_text(
                 json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n")
         click.echo(f"wrote {len(reports)} JSON reports to {out}")

@@ -6,9 +6,9 @@ notices, then transfers within the byte budget (link rate times contact
 duration per direction), then the energy or predictability updates.
 Forwarding decisions therefore always see pre-contact values.
 
-Event order is (time, kind priority, sequence number) with contact starts
-before message creations before contact ends at equal times; all ties are
-broken by the deterministic sequence numbers assigned at trace build time.
+Event order is (time, kind priority) with contact starts before message
+creations before contact ends at equal times; remaining ties keep the
+trace's own order of contacts and plan entries.
 """
 
 from __future__ import annotations
@@ -199,25 +199,13 @@ class ReplayEngine:
     # -- main loop -------------------------------------------------------------
 
     def run(self, axis: str = "none", axis_value: float = 0.0) -> MetricsReport:
-        events: list[tuple[float, int, int, str, object]] = []
-        seq = 0
-        for c in self.trace.contacts:
-            events.append((c.start, 0, seq, "start", c))
-            seq += 1
-        for p in self.trace.plan:
-            events.append((p.t, 1, seq, "create", p))
-            seq += 1
-        for c in self.trace.contacts:
-            events.append((c.end, 2, seq, "end", c))
-            seq += 1
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        for _, _, _, kind, payload in events:
-            if kind == "start":
-                self._on_contact_start(payload)
-            elif kind == "create":
-                self._on_create(payload)
-            else:
-                self._on_contact_end(payload)
+        contacts, plan = self.trace.contacts, self.trace.plan
+        events = ([(c.start, 0, c) for c in contacts] + [(p.t, 1, p) for p in plan]
+                  + [(c.end, 2, c) for c in contacts])
+        events.sort(key=lambda e: (e[0], e[1]))   # stable: ties keep list order
+        handlers = (self._on_contact_start, self._on_create, self._on_contact_end)
+        for _, kind, payload in events:
+            handlers[kind](payload)
         end = self.trace.duration
         for node, router in self.routers.items():
             for v in router.pop_expired(end):
@@ -245,44 +233,63 @@ SWEEP_AXES = ("buffer", "ttl", "time")
 
 def apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
     """Bind one sweep-axis value: buffer in MB, ttl in minutes, time in
-    seconds."""
+    seconds; axis ``none`` leaves the scenario as it is."""
     if axis == "buffer":
         return scenario.with_overrides(buffer_bytes=int(value * MB))
     if axis == "ttl":
         return scenario.with_overrides(ttl_min=float(value))
     if axis == "time":
         return scenario.with_overrides(duration=float(value))
+    if axis == "none":
+        return scenario
     raise ValueError(f"unknown sweep axis {axis!r}; valid: {', '.join(SWEEP_AXES)}")
 
 
-def _sweep_one_seed(args) -> list[MetricsReport]:
-    scenario, axis, values, seed = args
-    reports = []
+def _sweep_one_seed(args) -> list[tuple[MetricsReport, list[str] | None]]:
+    scenario, routers, axis, values, seed, want_lines = args
     base = scenario.with_overrides(seed=seed)
-    shared_trace = None if axis == "time" else build_trace(base)
+    out = []
+    trace = None
     for value in values:
         sc = apply_axis(base, axis, value)
-        trace = build_trace(sc) if axis == "time" else shared_trace
-        reports.append(run(sc, trace=trace, axis=axis, axis_value=value))
-    return reports
+        if trace is None or axis == "time":
+            trace = build_trace(sc)
+        for router in routers:
+            lines = [] if want_lines else None
+            out.append((run(sc.with_overrides(router=router), trace=trace,
+                            trace_lines=lines, axis=axis, axis_value=value),
+                        lines))
+    return out
 
 
-def run_sweep(scenario: Scenario, axis: str, values: list[float],
-              seeds: list[int], jobs: int = 1) -> list[MetricsReport]:
-    """One independent run per (value, seed); the trace is reused across
-    axis values whenever the axis cannot affect it."""
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    if not seeds:
-        raise ValueError("sweep needs at least one seed")
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"unknown sweep axis {axis!r}; valid: {', '.join(SWEEP_AXES)}")
-    tasks = [(scenario, axis, values, seed) for seed in seeds]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+def run_sweep(scenario: Scenario, routers: list[str], axis: str,
+              values: list[float], seeds: list[int], jobs: int = 1,
+              trace_lines: dict[tuple[str, float, int], list[str]] | None = None,
+              ) -> list[MetricsReport]:
+    """One independent run per (router, value, seed), sorted in that order.
+
+    Each seed's trace is built once and replayed for every router and axis
+    value; only the ``time`` axis rebuilds it per value.  Axis ``none``
+    (value 0) is a plain run.  Seeds are spread over at most ``jobs`` worker
+    processes.  If ``trace_lines`` is given, each run's event lines are
+    stored in it under (router, value, seed).
+    """
+    if not (routers and values and seeds):
+        raise ValueError("sweep needs at least one router, value and seed")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    tasks = [(scenario, routers, axis, values, seed, trace_lines is not None)
+             for seed in seeds]
+    workers = min(jobs, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_one_seed, tasks))
     else:
         chunks = [_sweep_one_seed(t) for t in tasks]
-    reports = [r for chunk in chunks for r in chunk]
-    reports.sort(key=lambda r: (r.axis_value, r.seed))
+    reports = []
+    for rep, lines in (pair for chunk in chunks for pair in chunk):
+        reports.append(rep)
+        if trace_lines is not None:
+            trace_lines[(rep.router, rep.axis_value, rep.seed)] = lines
+    reports.sort(key=lambda r: (r.router, r.axis_value, r.seed))
     return reports

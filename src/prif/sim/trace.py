@@ -1,10 +1,11 @@
 """Router-independent run material: contact trace plus message plan.
 
 Mobility, contact detection and the traffic schedule depend only on the
-scenario geometry and seed, never on the router under test.  Sweeps over
-buffer size or TTL therefore build one trace per seed and replay it for
-every router and axis value, which is observably identical to rerunning
-the mobility (same seed, same trace) and far cheaper.
+scenario geometry, traffic, duration and seed, never on the router, buffer
+or TTL.  ``engine.run_sweep`` therefore builds one read-only trace per seed
+and replays it for every router and buffer or TTL value.  A time sweep
+rebuilds it per value: ``build_plan`` draws destinations after the arrival
+loop, so a shorter run's plan is not a prefix of a longer one's.
 """
 
 from __future__ import annotations
@@ -41,13 +42,13 @@ class MessagePlan:
     nonce: bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContactTrace:
     duration: float
-    interests: np.ndarray            # node -> community index
-    contacts: list[ContactEvent]     # ordered by (start, pair discovery)
-    plan: list[MessagePlan]
-    n_truncated: int                 # contacts cut off by end of run
+    interests: np.ndarray                # node -> community index
+    contacts: tuple[ContactEvent, ...]   # ordered by (start, pair discovery)
+    plan: tuple[MessagePlan, ...]
+    n_truncated: int                     # contacts cut off by end of run
 
 
 def assign_interests(scenario: Scenario) -> np.ndarray:
@@ -159,5 +160,7 @@ def build_trace(scenario: Scenario) -> ContactTrace:
     interests = assign_interests(scenario)
     contacts, n_truncated = build_contacts(scenario)
     plan = build_plan(scenario, interests)
+    interests.flags.writeable = False
     return ContactTrace(duration=scenario.duration, interests=interests,
-                        contacts=contacts, plan=plan, n_truncated=n_truncated)
+                        contacts=tuple(contacts), plan=tuple(plan),
+                        n_truncated=n_truncated)

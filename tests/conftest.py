@@ -36,3 +36,26 @@ def set_intra(router, community, value, now):
 def link_sessions(a, b):
     a.sessions[b.node] = b.community
     b.sessions[a.node] = a.community
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the sweep's process pool with an in-process one; the returned
+    list records the ``max_workers`` of every pool the sweep starts."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("prif.sim.engine.ProcessPoolExecutor", InProcessPool)
+    return sizes

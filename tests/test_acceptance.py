@@ -293,9 +293,10 @@ class TestCriterion5:
         values = [2.0, 4.0, 6.0, 8.0, 10.0]
         delivery = {}
         overhead = {}
-        for router in ("prif", "epidemic", "prophet"):
-            reports = run_sweep(desk_preset(router=router), "buffer",
-                                values, seeds)
+        routers = ("prif", "epidemic", "prophet")
+        sweep = run_sweep(desk_preset(), routers, "buffer", values, seeds)
+        for router in routers:
+            reports = [r for r in sweep if r.router == router]
             delivery[router] = [r.delivery_ratio for r in reports]
             overhead[router] = [r.overhead_ratio for r in reports]
             for v in values:
@@ -332,10 +333,12 @@ class TestCriterion6:
         seeds = list(range(1, 11))
         ttls = [600.0, 1200.0, 2400.0, 3600.0]
         curves = {}
-        for router in ("epidemic", "prif"):
-            sc = desk_preset(router=router).with_overrides(
-                duration=150_000.0, buffer_bytes=6 * 1024 * 1024)
-            reports = run_sweep(sc, "ttl", ttls, seeds)
+        routers = ("epidemic", "prif")
+        sc = desk_preset().with_overrides(
+            duration=150_000.0, buffer_bytes=6 * 1024 * 1024)
+        sweep = run_sweep(sc, routers, "ttl", ttls, seeds)
+        for router in routers:
+            reports = [r for r in sweep if r.router == router]
             curve = []
             for v in ttls:
                 point = [r.delivery_ratio for r in reports if r.axis_value == v]

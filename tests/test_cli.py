@@ -3,6 +3,8 @@ import json
 import pytest
 
 from prif.cli import main
+from prif.sim import run, scenario_from_ini
+from prif.sim.engine import TRACE_SCHEMA
 
 MINI_INI = """\
 [scenario]
@@ -89,6 +91,55 @@ class TestRunCommand:
         traces = list(out.glob("trace_prif_seed4.txt"))
         assert len(traces) == 1
         assert traces[0].read_text().startswith("#")
+
+    def test_traces_for_every_router_and_seed(self, mini_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(mini_config), "--router",
+                     "prif,epidemic", "--seeds", "4,5", "--out", str(out),
+                     "--trace"]) == 0
+        assert len(list(out.glob("trace_*.txt"))) == 4
+        base = scenario_from_ini(mini_config)
+        for router in ("prif", "epidemic"):
+            for seed in (4, 5):
+                lines = []
+                run(base.with_overrides(router=router, seed=seed),
+                    trace_lines=lines)
+                expected = f"# {TRACE_SCHEMA}\n" + "\n".join(lines) + "\n"
+                got = (out / f"trace_{router}_seed{seed}.txt").read_text()
+                assert got == expected
+
+    def test_jobs_applies_without_sweep(self, mini_config, tmp_path, pool_sizes):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(mini_config), "--seeds", "4,5",
+                     "--jobs", "2", "--out", str(out)]) == 0
+        assert pool_sizes == [2]
+        assert len(list(out.glob("run_prif_none-0_seed*.json"))) == 2
+
+    def test_parallel_run_is_byte_identical(self, mini_config, tmp_path):
+        outs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", str(mini_config), "--router",
+                         "prif,epidemic", "--seeds", "4,5", "--jobs", jobs,
+                         "--trace", "--out", str(out)]) == 0
+            outs[jobs] = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(outs["1"]) == 1 + 4 + 4
+        assert outs["1"] == outs["2"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+    def test_bad_jobs_is_usage_error(self, mini_config, tmp_path, pool_sizes,
+                                     jobs):
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(mini_config), "--jobs", jobs,
+                     "--out", str(out)]) == 1
+        assert pool_sizes == [] and not out.exists()
+
+    def test_sweep_none_is_usage_error(self, mini_config, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(mini_config), "--sweep", "none",
+                     "--values", "0", "--out", str(out)]) == 1
+        assert "unknown sweep axis" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_json_only_format(self, mini_config, tmp_path):
         out = tmp_path / "out"

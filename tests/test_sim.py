@@ -1,17 +1,19 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from prif.baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
+from prif.energy import EnergyParams
 from prif.routing import PrifRouter
 from prif.sim import (GroupSpec, Scenario, apply_axis, build_trace, desk_preset,
                       paper_preset, run, run_sweep, scenario_from_ini)
 from prif.sim import kernels, mobility, trace
+from prif.sim.scenario import ROUTERS
 from prif.sim.trace import assign_interests, build_contacts, build_plan
 
 from oracles import all_pairs_transitions
@@ -303,6 +305,32 @@ class TestScenario:
 # ---------------------------------------------------------------------------
 
 class TestTrace:
+    def test_trace_ignores_router_and_replay_fields(self):
+        """Sweeps share one trace per seed across routers, buffers and TTLs;
+        that holds only while build_trace reads none of these fields."""
+        ref = build_trace(mini_scenario())
+        variants = [{"router": r} for r in ROUTERS] + [
+            {"buffer_bytes": MB}, {"ttl_min": 30.0},
+            {"antipacket_mode": "instant"}, {"forward_and_delete": True},
+            {"charge_handshake_bytes": True}, {"crypto": "2048"},
+            {"energy": EnergyParams(alpha=0.5, beta=0.1, gamma=0.5, window=7.0)},
+            {"prophet_p_init": 0.5, "prophet_beta": 0.5, "prophet_gamma": 0.5}]
+        for kw in variants:
+            got = build_trace(mini_scenario(**kw))
+            assert got.duration == ref.duration, kw
+            assert np.array_equal(got.interests, ref.interests), kw
+            assert got.contacts == ref.contacts, kw
+            assert got.plan == ref.plan, kw
+            assert got.n_truncated == ref.n_truncated, kw
+
+    def test_trace_is_read_only(self):
+        trace = build_trace(mini_scenario(duration=1000.0))
+        assert isinstance(trace.contacts, tuple) and isinstance(trace.plan, tuple)
+        with pytest.raises(FrozenInstanceError):
+            trace.plan = ()
+        with pytest.raises(ValueError, match="read-only"):
+            trace.interests[0] = 1
+
     def test_contacts_well_formed(self):
         trace = build_trace(mini_scenario())
         for c in trace.contacts:
@@ -496,34 +524,53 @@ class TestGoldenDigest:
 
 class TestSweep:
     def test_single_value_single_report(self):
-        reports = run_sweep(mini_scenario(), "buffer", [3.0], [5])
+        reports = run_sweep(mini_scenario(), ["prif"], "buffer", [3.0], [5])
         assert len(reports) == 1
         assert reports[0].axis == "buffer" and reports[0].axis_value == 3.0
 
     def test_row_counts_and_order(self):
-        reports = run_sweep(mini_scenario(), "buffer", [1.0, 3.0], [5, 6, 7])
+        reports = run_sweep(mini_scenario(), ["prif"], "buffer", [1.0, 3.0],
+                            [5, 6, 7])
         assert len(reports) == 6
         keys = [(r.axis_value, r.seed) for r in reports]
         assert keys == sorted(keys)
 
     def test_ttl_axis_reuses_trace_consistently(self):
-        r1 = run_sweep(mini_scenario(), "ttl", [600.0], [5])[0]
-        r2 = run(apply_axis(mini_scenario(), "ttl", 600.0).with_overrides(seed=5))
-        assert r1.delivery_ratio == r2.delivery_ratio
+        reports = run_sweep(mini_scenario(), ["prif", "epidemic"], "ttl",
+                            [600.0], [5])
+        assert [r.router for r in reports] == ["epidemic", "prif"]
+        for r1 in reports:
+            r2 = run(apply_axis(mini_scenario(), "ttl", 600.0).with_overrides(
+                seed=5, router=r1.router), axis="ttl", axis_value=600.0)
+            assert r1.to_dict() == r2.to_dict()
 
     def test_time_axis_changes_duration(self):
-        reports = run_sweep(mini_scenario(), "time", [1000.0, 4000.0], [5])
+        reports = run_sweep(mini_scenario(), ["prif"], "time", [1000.0, 4000.0], [5])
         assert reports[0].created < reports[1].created
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
-            run_sweep(mini_scenario(), "voltage", [1.0], [5])
+            run_sweep(mini_scenario(), ["prif"], "voltage", [1.0], [5])
 
     def test_parallel_workers_match_sequential(self):
-        args = (mini_scenario(), "buffer", [1.0, 3.0], [5, 6])
+        args = (mini_scenario(), ["prif"], "buffer", [1.0, 3.0], [5, 6])
         seq = [r.to_dict() for r in run_sweep(*args, jobs=1)]
         par = [r.to_dict() for r in run_sweep(*args, jobs=2)]
         assert seq == par
+
+    def test_jobs_below_one_rejected(self, pool_sizes):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep(mini_scenario(), ["prif"], "buffer", [3.0], [5], jobs=0)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("jobs,seeds,expected", [
+        (64, [5], []), (64, [5, 6], [2]), (2, [5, 6, 7], [2])])
+    def test_pool_never_larger_than_seed_count(self, pool_sizes, jobs, seeds,
+                                               expected):
+        sc = mini_scenario(duration=1000.0)
+        reports = run_sweep(sc, ["prif"], "buffer", [3.0], seeds, jobs=jobs)
+        assert pool_sizes == expected
+        assert [r.seed for r in reports] == seeds
 
 
 class TestPaperScale:
