@@ -11,12 +11,11 @@
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .energy import EnergyParams
+from .energy import EnergyParams, decay_windows
 from .model import Message, NodeId, SimTime
 from .routing import (Action, ForwardDecision, PrifRouter, Reason, Router,
                       WireLog, interest_wire_bytes)
@@ -119,8 +118,8 @@ class ProphetState:
 
     def age(self, now: SimTime) -> None:
         """Every entry decays by gamma per whole window since the last aging."""
-        k = int(math.floor((now - self.last_aged_at) / self.window))
-        if k > 0:
+        k = decay_windows(self.last_aged_at, now, self.window)
+        if k:
             f = self.gamma_age ** k
             for node in self.p:
                 self.p[node] *= f
@@ -151,8 +150,10 @@ class ProphetRouter(Router):
                                   gamma_age=gamma_age, window=window)
 
     def predictability(self, dest: NodeId, now: SimTime) -> float:
-        self.state.age(now)
-        return self.state.p.get(dest, 0.0)
+        """P(dest) decayed from the vector's anchor to ``now``; a pure read."""
+        s = self.state
+        return s.p.get(dest, 0.0) * s.gamma_age ** decay_windows(
+            s.last_aged_at, now, s.window)
 
     def begin_contact(self, other: "ProphetRouter", now: SimTime,
                       rng: random.Random,

@@ -34,9 +34,12 @@ def cli() -> None:
 
 def _parse_list(text: str, conv):
     try:
-        return [conv(part) for part in text.split(",") if part.strip()]
+        items = [conv(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise click.UsageError(f"cannot parse list {text!r}: {exc}")
+    if not items:
+        raise click.UsageError(f"empty list {text!r}")
+    return items
 
 
 @cli.command("run")

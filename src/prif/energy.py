@@ -10,10 +10,14 @@ Two kinds of record live in a node's table:
 
 Both kinds carry the raw current observation and the previous one; reads
 return a weighted moving average of the two.  All values decay by gamma per
-elapsed aging window; decay is applied lazily, in whole-window quanta, before
-every read and every update, which is observably identical to eager per-tick
-aging.  Forwarding comparisons use strict ``>``: a tie is no evidence of
-improvement, so the carrier keeps the message.
+whole aging window elapsed since the record's own anchor (``last_aged_at``).
+Reads are pure: they scale the stored prediction by gamma to the number of
+windows since the anchor and change nothing, so how often a table is read
+never affects what it later returns.  A write first brings only the record it
+touches forward to ``now`` (values decayed, anchor advanced in whole windows)
+and then applies its update; a new record is anchored at ``now``.
+Forwarding comparisons use strict ``>``: a tie is no evidence of improvement,
+so the carrier keeps the message.
 """
 
 from __future__ import annotations
@@ -77,10 +81,11 @@ def predict_intra(rec: IntraEnergyRecord, beta: float) -> float:
     return beta * rec.prev_value + (1.0 - beta) * rec.value
 
 
-def _age_windows(last_aged_at: SimTime, now: SimTime, window: float) -> int:
-    if now <= last_aged_at:
+def decay_windows(anchor: SimTime, now: SimTime, window: float) -> int:
+    """Whole aging windows elapsed from ``anchor`` to ``now``; 0 if none."""
+    if now <= anchor:
         return 0
-    return int(math.floor((now - last_aged_at) / window))
+    return int(math.floor((now - anchor) / window))
 
 
 class EnergyTable:
@@ -101,32 +106,29 @@ class EnergyTable:
         self.inter: dict[NodeId, InterEnergyRecord] = {}
         self.intra: dict[CommunityKey, IntraEnergyRecord] = {}
 
-    # -- aging ---------------------------------------------------------
+    # -- decay ---------------------------------------------------------
 
-    def age(self, now: SimTime) -> None:
-        """Decay every record by gamma per whole aging window elapsed.
+    # Kept as a method by this name: perfbench's tracer wraps EnergyTable.age.
+    def age(self, rec: InterEnergyRecord | IntraEnergyRecord, now: SimTime) -> None:
+        """Decay one record by gamma per whole aging window since its anchor.
 
-        Decay advances ``last_aged_at`` in window quanta only, so aging to
-        t1 and then t2 lands on exactly the same state as aging straight to
-        t2.  Both the current and the previous observation decay, keeping
-        the predicted read consistent with evaporation.
+        The anchor advances in window quanta only, so aging to t1 and then t2
+        lands on the same anchor as aging straight to t2.  Both the current
+        and the previous observation decay, keeping the predicted read
+        consistent with evaporation.
         """
-        g = self.params.gamma
         w = self.params.window
-        for rec in self.inter.values():
-            k = _age_windows(rec.last_aged_at, now, w)
-            if k:
-                f = g ** k
-                rec.value *= f
-                rec.prev_value *= f
-                rec.last_aged_at += k * w
-        for rec in self.intra.values():
-            k = _age_windows(rec.last_aged_at, now, w)
-            if k:
-                f = g ** k
-                rec.value *= f
-                rec.prev_value *= f
-                rec.last_aged_at += k * w
+        k = decay_windows(rec.last_aged_at, now, w)
+        if k:
+            f = self.params.gamma ** k
+            rec.value *= f
+            rec.prev_value *= f
+            rec.last_aged_at += k * w
+
+    def _decay(self, rec: InterEnergyRecord | IntraEnergyRecord, now: SimTime) -> float:
+        """gamma to the whole windows since the record's anchor; reads only."""
+        return self.params.gamma ** decay_windows(rec.last_aged_at, now,
+                                                  self.params.window)
 
     # -- inter-community updates ----------------------------------------
 
@@ -143,11 +145,11 @@ class EnergyTable:
             raise ValueError(
                 "inter-community energy is only kept for same-community peers")
         now = contact.end
-        self.age(now)
         rec = self.inter.get(peer)
         if rec is None:
             rec = InterEnergyRecord(peer=peer, last_aged_at=now)
             self.inter[peer] = rec
+        self.age(rec, now)
         elapsed = now - rec.last_encounter_end
         if elapsed <= 0.0:
             raise ValueError("encounters for one peer must not overlap")
@@ -168,11 +170,7 @@ class EnergyTable:
         energy toward the relaying peer.  Entries are strengthened in place:
         the previous-observation slot and encounter count are untouched.
         """
-        self.age(now)
-        via_rec = self.inter.get(via)
-        if via_rec is None:
-            return
-        e_via = predict_inter(via_rec, self.params.alpha)
+        e_via = self.effective_inter(via, now)
         if e_via <= 0.0:
             return
         for node, e_bc in summary:
@@ -182,6 +180,7 @@ class EnergyTable:
             if rec is None:
                 rec = InterEnergyRecord(peer=node, last_aged_at=now)
                 self.inter[node] = rec
+            self.age(rec, now)
             rec.value = rec.value + (1.0 - rec.value) * e_via * e_bc
 
     # -- intra-community updates ----------------------------------------
@@ -196,12 +195,12 @@ class EnergyTable:
         """
         if community == self.owner_community:
             raise ValueError("intra-community energy never targets the owner's own community")
-        self.age(now)
         rec = self.intra.get(community)
         if rec is None:
             rec = IntraEnergyRecord(community=community, first_encounter=now,
                                     last_aged_at=now)
             self.intra[community] = rec
+        self.age(rec, now)
         rec.cumulative_count += 1
         denom = max(now - rec.first_encounter, self.params.window)
         rec.prev_value = rec.value
@@ -211,34 +210,21 @@ class EnergyTable:
     # -- reads -----------------------------------------------------------
 
     def effective_inter(self, peer: NodeId, now: SimTime) -> float:
-        """Aged, predicted inter energy toward a peer; 0 if unknown."""
-        self.age(now)
+        """Decayed, predicted inter energy toward a peer; 0 if unknown."""
         rec = self.inter.get(peer)
         if rec is None:
             return 0.0
-        return predict_inter(rec, self.params.alpha)
+        return predict_inter(rec, self.params.alpha) * self._decay(rec, now)
 
     def effective_intra(self, community: CommunityKey, now: SimTime) -> float:
-        """Aged, predicted intra energy toward a community; 0 if unknown."""
-        self.age(now)
+        """Decayed, predicted intra energy toward a community; 0 if unknown."""
         rec = self.intra.get(community)
         if rec is None:
             return 0.0
-        return predict_intra(rec, self.params.beta)
+        return predict_intra(rec, self.params.beta) * self._decay(rec, now)
 
     def inter_summary(self, now: SimTime) -> list[tuple[NodeId, float]]:
         """Snapshot of effective inter energies, exchanged during contacts."""
-        self.age(now)
         a = self.params.alpha
-        return [(peer, predict_inter(rec, a)) for peer, rec in sorted(self.inter.items())]
-
-    # -- debugging --------------------------------------------------------
-
-    def dump(self) -> str:
-        """One record per line: kind, key, value, prev, last_aged_at."""
-        lines = []
-        for peer, rec in sorted(self.inter.items()):
-            lines.append(f"inter {peer} {rec.value!r} {rec.prev_value!r} {rec.last_aged_at!r}")
-        for community, rec in sorted(self.intra.items(), key=lambda kv: str(kv[0])):
-            lines.append(f"intra {rec.community} {rec.value!r} {rec.prev_value!r} {rec.last_aged_at!r}")
-        return "\n".join(lines)
+        return [(peer, predict_inter(rec, a) * self._decay(rec, now))
+                for peer, rec in sorted(self.inter.items())]

@@ -74,9 +74,13 @@ class TestProphetUpdates:
         assert s.p[5] == pytest.approx(0.75)
 
     def test_aging_two_windows(self):
-        s = ProphetState(owner=0, p={5: 0.75}, last_aged_at=0.0)
-        s.age(60.0)
-        assert s.p[5] == pytest.approx(0.75 * 0.9604)
+        r = ProphetRouter(0, 0, 10_000)
+        r.state.p[5] = 0.75
+        assert r.predictability(5, 60.0) == pytest.approx(0.75 * 0.9604)
+        assert r.state.p == {5: 0.75} and r.state.last_aged_at == 0.0
+        r.state.age(60.0)
+        assert r.state.p[5] == pytest.approx(0.75 * 0.9604)
+        assert r.state.last_aged_at == 60.0
 
     def test_transitive_from_zero(self):
         s = ProphetState(owner=0, p={1: 0.75})
@@ -84,11 +88,13 @@ class TestProphetUpdates:
         assert s.p[2] == pytest.approx(0.140625)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(["encounter", "age", "transitive"]),
+    @given(st.lists(st.tuples(st.sampled_from(["encounter", "age", "transitive",
+                                               "read"]),
                               st.integers(1, 5), st.integers(0, 3000)),
                     max_size=40))
     def test_p_stays_in_unit_interval(self, events):
-        s = ProphetState(owner=0)
+        r = ProphetRouter(0, 0, 10_000)
+        s = r.state
         now = 0.0
         for kind, peer, dt in events:
             now += dt
@@ -96,9 +102,45 @@ class TestProphetUpdates:
                 s.encounter(peer)
             elif kind == "age":
                 s.age(now)
-            else:
+            elif kind == "transitive":
                 s.transitive(peer, [(peer + 1, 0.9), (peer + 2, 0.4)])
+            else:
+                assert 0.0 <= r.predictability(peer, now) <= 1.0
             assert all(0.0 <= v <= 1.0 for v in s.p.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 900.0),
+                              st.sampled_from([(0, 1), (0, 2), (1, 2), (2, 3),
+                                               (1, 3)]),
+                              st.lists(st.tuples(st.integers(0, 3),
+                                                 st.integers(0, 5),
+                                                 st.floats(-500.0, 5_000.0)),
+                                       max_size=4)),
+                    min_size=1, max_size=30))
+    def test_extra_reads_change_nothing(self, script):
+        """Predictability reads between contacts leave every vector and
+        every later read bit-identical to a run without them."""
+        def routers():
+            return [ProphetRouter(n, 0, 10_000) for n in range(4)]
+
+        def snapshot(rs):
+            return [(r.state.last_aged_at, dict(r.state.p)) for r in rs]
+
+        plain, probed = routers(), routers()
+        now = 0.0
+        for dt, (a, b), reads in script:
+            now += dt
+            plain[a].begin_contact(plain[b], now, random.Random(1))
+            probed[a].begin_contact(probed[b], now, random.Random(1))
+            for node, dest, offset in reads:
+                before = snapshot(probed)
+                probed[node].predictability(dest, now + offset)
+                assert snapshot(probed) == before
+            assert snapshot(probed) == snapshot(plain)
+        for at in (now, now + 29.0, now + 31.0, now + 1e4):
+            for rp, rq in zip(plain, probed):
+                for dest in range(6):
+                    assert rq.predictability(dest, at) == rp.predictability(dest, at)
 
 
 class TestProphetRouter:

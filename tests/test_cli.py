@@ -152,6 +152,17 @@ class TestRunCommand:
         data = json.loads(reports[0].read_text())
         assert 0.0 <= data["delivery_ratio"] <= 1.0
 
+    @pytest.mark.parametrize("args", [["--format", ","], ["--router", ","],
+                                      ["--seeds", ","],
+                                      ["--sweep", "buffer", "--values", ","]])
+    def test_empty_list_is_usage_error(self, mini_config, tmp_path, capsys,
+                                       args):
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(mini_config), *args,
+                     "--out", str(out)]) == 1
+        assert "empty list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_needs_values(self, mini_config, tmp_path, capsys):
         code = main(["run", "--config", str(mini_config), "--sweep", "buffer",
                      "--out", str(tmp_path / "x")])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -186,35 +187,42 @@ class TestIntra:
 # ---------------------------------------------------------------------------
 
 class TestAging:
+    @staticmethod
+    def _rec(value=0.8, prev=None):
+        return InterEnergyRecord(peer=1, value=value,
+                                 prev_value=value if prev is None else prev,
+                                 last_encounter_end=0.0, last_aged_at=0.0)
+
     def test_five_windows(self):
         expected_factor = 1.0
         for _ in range(5):   # independent evaluation of gamma^5
             expected_factor *= 0.98
         t = table()
-        t.inter[1] = InterEnergyRecord(peer=1, value=0.8, prev_value=0.8,
-                                       last_encounter_end=0.0, last_aged_at=0.0)
-        t.age(150.0)
+        t.inter[1] = self._rec(0.8)
+        assert t.effective_inter(1, 150.0) == pytest.approx(
+            0.8 * expected_factor, abs=1e-12)
+        assert t.inter[1] == self._rec(0.8)
+        t.age(t.inter[1], 150.0)
         assert t.inter[1].value == pytest.approx(0.8 * expected_factor, abs=1e-12)
+        assert t.inter[1].last_aged_at == 150.0
 
     def test_zero_windows_identity(self):
         t = table()
-        t.inter[1] = InterEnergyRecord(peer=1, value=0.8, prev_value=0.4,
-                                       last_encounter_end=0.0, last_aged_at=0.0)
-        t.age(29.0)
-        assert t.inter[1].value == 0.8
-        assert t.inter[1].prev_value == 0.4
+        t.inter[1] = self._rec(0.8, prev=0.4)
+        assert t.effective_inter(1, 29.0) == predict_inter(t.inter[1], P.alpha)
+        t.age(t.inter[1], 29.0)
+        assert t.inter[1] == self._rec(0.8, prev=0.4)
 
     def test_zero_value_absorbs(self):
         t = table()
-        t.inter[1] = InterEnergyRecord(peer=1, value=0.0, prev_value=0.0,
-                                       last_encounter_end=0.0, last_aged_at=0.0)
-        t.age(10_000.0)
+        t.inter[1] = self._rec(0.0)
+        assert t.effective_inter(1, 10_000.0) == 0.0
+        t.age(t.inter[1], 10_000.0)
         assert t.inter[1].value == 0.0
 
     def test_effective_inter_ages_then_predicts(self):
         t = table()
-        t.inter[1] = InterEnergyRecord(peer=1, value=0.5, prev_value=0.5,
-                                       last_encounter_end=0.0, last_aged_at=0.0)
+        t.inter[1] = self._rec(0.5)
         assert t.effective_inter(1, 60.0) == pytest.approx(0.5 * 0.98 * 0.98)
 
     def test_effective_unknown_is_zero(self):
@@ -228,14 +236,14 @@ class TestAging:
     def test_aging_composes(self, v, t1, t2):
         lo, hi = sorted((t1, t2))
         a = table()
-        a.inter[1] = InterEnergyRecord(peer=1, value=v, prev_value=v,
-                                       last_encounter_end=0.0, last_aged_at=0.0)
-        a.age(float(lo))
-        a.age(float(hi))
+        a.inter[1] = self._rec(v)
+        a.age(a.inter[1], float(lo))
+        a.age(a.inter[1], float(hi))
         b = table()
-        b.inter[1] = InterEnergyRecord(peer=1, value=v, prev_value=v,
-                                       last_encounter_end=0.0, last_aged_at=0.0)
-        b.age(float(hi))
+        b.inter[1] = self._rec(v)
+        assert a.effective_inter(1, float(hi)) == pytest.approx(
+            b.effective_inter(1, float(hi)), abs=1e-12)
+        b.age(b.inter[1], float(hi))
         assert a.inter[1].value == pytest.approx(b.inter[1].value, abs=1e-12)
         assert a.inter[1].last_aged_at == b.inter[1].last_aged_at
 
@@ -243,10 +251,82 @@ class TestAging:
     @given(v=st.floats(0, 1), dt=st.integers(0, 100_000))
     def test_aging_never_increases(self, v, dt):
         t = table()
-        t.inter[1] = InterEnergyRecord(peer=1, value=v, prev_value=v,
-                                       last_encounter_end=0.0, last_aged_at=0.0)
-        t.age(float(dt))
+        t.inter[1] = self._rec(v)
+        assert t.effective_inter(1, float(dt)) <= v + 1e-15
+        t.age(t.inter[1], float(dt))
         assert t.inter[1].value <= v + 1e-15
+
+
+# ---------------------------------------------------------------------------
+# reads are pure
+# ---------------------------------------------------------------------------
+
+PEERS = (1, 2, 3)
+COMMUNITIES = ("X", "Y")
+
+write_op = st.one_of(
+    st.tuples(st.just("direct"), st.sampled_from(PEERS),
+              st.floats(0.5, 120.0)),
+    st.tuples(st.just("transitive"), st.sampled_from(PEERS),
+              st.lists(st.tuples(st.sampled_from((0,) + PEERS + (4, 5)),
+                                 st.floats(0.0, 1.0)), max_size=4)),
+    st.tuples(st.just("intra"), st.sampled_from(COMMUNITIES), st.none()),
+)
+read_op = st.tuples(st.sampled_from(["inter", "intra", "summary"]),
+                    st.sampled_from(PEERS + COMMUNITIES),
+                    st.floats(-500.0, 5_000.0))
+
+
+def snapshot(t):
+    return ({k: astuple(r) for k, r in t.inter.items()},
+            {k: astuple(r) for k, r in t.intra.items()})
+
+
+def apply_write(t, op, now):
+    kind, key, arg = op
+    if kind == "direct":
+        t.update_direct_inter(key, "C", ContactEvent(0, key, now - arg, now))
+    elif kind == "transitive":
+        t.update_transitive_inter(key, arg, now)
+    else:
+        t.update_intra(key, now)
+
+
+def apply_read(t, op, now):
+    kind, key, offset = op
+    at = now + offset
+    if kind == "inter":
+        return t.effective_inter(key, at)
+    if kind == "intra":
+        return t.effective_intra(key, at)
+    return t.inter_summary(at)
+
+
+class TestPureReads:
+    @settings(max_examples=200, deadline=None)
+    @given(script=st.lists(st.tuples(st.floats(121.0, 900.0), write_op,
+                                     st.lists(read_op, max_size=4)),
+                           min_size=1, max_size=30))
+    def test_extra_reads_change_nothing(self, script):
+        """Reads between writes leave every record and every later read
+        bit-identical to a run without them."""
+        plain, probed = table(), table()
+        now = 0.0
+        for dt, write, reads in script:
+            now += dt
+            apply_write(plain, write, now)
+            apply_write(probed, write, now)
+            for read in reads:
+                before = snapshot(probed)
+                apply_read(probed, read, now)
+                assert snapshot(probed) == before
+            assert snapshot(probed) == snapshot(plain)
+        for at in (now, now + 29.0, now + 31.0, now + 1e4):
+            assert probed.inter_summary(at) == plain.inter_summary(at)
+            for peer in PEERS:
+                assert probed.effective_inter(peer, at) == plain.effective_inter(peer, at)
+            for c in COMMUNITIES:
+                assert probed.effective_intra(c, at) == plain.effective_intra(c, at)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +378,7 @@ class TestOracleEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# summaries and dumps
+# summaries and parameters
 # ---------------------------------------------------------------------------
 
 class TestSupport:
@@ -307,15 +387,6 @@ class TestSupport:
         t.inter[5] = InterEnergyRecord(peer=5, value=0.4, prev_value=0.4,
                                        last_encounter_end=0.0, last_aged_at=0.0)
         assert t.inter_summary(0.0) == [(5, pytest.approx(0.4))]
-
-    def test_dump_layout(self):
-        t = table()
-        t.update_direct_inter(1, "C", ContactEvent(0, 1, 170.0, 200.0))
-        t.update_intra("X", 230.0)
-        lines = t.dump().splitlines()
-        assert len(lines) == 2
-        assert lines[0].startswith("inter 1 ")
-        assert lines[1].startswith("intra X ")
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -522,6 +522,46 @@ class TestGoldenDigest:
         assert got == GOLDEN[(mode, router)]
 
 
+def read_all_state(router, now):
+    """Every energy or predictability read a router offers, at ``now``."""
+    if isinstance(router, ProphetRouter):
+        for dest in list(router.state.p):
+            router.predictability(dest, now)
+        return
+    table = router.energy
+    table.inter_summary(now)
+    for peer in list(table.inter):
+        table.effective_inter(peer, now)
+    for community in list(table.intra):
+        table.effective_intra(community, now)
+
+
+class TestReadsAreUnobservable:
+    @pytest.mark.parametrize("router,cls", [("prif", PrifRouter),
+                                            ("prif-noprivacy", NoPrivacyPrifRouter),
+                                            ("prophet", ProphetRouter)])
+    def test_extra_reads_leave_report_and_trace_unchanged(self, monkeypatch,
+                                                         router, cls):
+        def replay():
+            lines = []
+            rep = run(mini_scenario(router=router), trace_lines=lines)
+            return json.dumps(rep.to_dict(), sort_keys=True).encode(), lines
+
+        plain = replay()
+        begin = cls.begin_contact
+        reads = []
+
+        def reading_begin(self, other, now, *args, **kw):
+            read_all_state(self, now)
+            read_all_state(other, now)
+            reads.append(now)
+            return begin(self, other, now, *args, **kw)
+
+        monkeypatch.setattr(cls, "begin_contact", reading_begin)
+        assert replay() == plain
+        assert reads
+
+
 class TestSweep:
     def test_single_value_single_report(self):
         reports = run_sweep(mini_scenario(), ["prif"], "buffer", [3.0], [5])
