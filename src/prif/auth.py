@@ -17,6 +17,21 @@ Verification recomputes the tag from public values only.  A peer that is
 revoked, malformed, or outside the prime-order subgroup gets a uniformly
 random tag back, indistinguishable from a garbage-key run.
 
+Arithmetic.  No element is raised to a secret power before ``in_subgroup``
+has shown ``1 < X < p`` and ``X^q = 1``: round 2 tests the peer's Y and
+ephemeral B, and ``verify_confirmation`` tests Y itself.  The speed-ups
+below return exactly what plain ``pow`` returns, so no transcript, outcome
+or random draw depends on them or on whether a memo is warm:
+
+* ``alpha_pow`` reads alpha^x from a radix-16 table of alpha^(j * 16^i)
+  (Lim & Lee, CRYPTO '94), built per parameter set on first use, for
+  alpha^b in round 1 and alpha^s in ``recover_commitment``; exponents
+  outside [0, q) go to ``powmod``;
+* bounded ``functools.lru_cache`` memos hold ``recover_commitment`` per
+  certificate, the subgroup test of a peer's Y, and the verifier base
+  y^H1(id, Y) * Y under the default H1;
+* a round-1 message encodes itself once (``HandshakeMsg1.encoded``).
+
 All randomness flows through caller-supplied seeds or ``random.Random``
 streams; nothing here reads the clock or os entropy, so handshakes replay
 bit-identically under one seed.
@@ -24,20 +39,16 @@ bit-identically under one seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-try:
-    from gmpy2 import powmod as _powmod
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _powmod = pow
-
 
 def powmod(base: int, exp: int, mod: int) -> int:
     """Modular exponentiation; negative exponents invert modulo ``mod``."""
-    return int(_powmod(base, exp, mod))
+    return pow(base, exp, mod)
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
@@ -89,10 +100,6 @@ class SystemParams:
     alpha: int
     kappa: int = 256
 
-    @property
-    def cofactor_exponent(self) -> int:
-        return (self.p - 1) // self.q
-
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -135,6 +142,12 @@ class HandshakeMsg1:
     id: str
     Y: int
     B: int
+
+    @functools.cached_property
+    def encoded(self) -> bytes:
+        """Wire bytes, encoded once and shared by the codec and session id."""
+        return (MSG1_TAG + _frame(self.gid.encode()) + _frame(self.id.encode())
+                + _frame(int_to_bytes(self.Y)) + _frame(int_to_bytes(self.B)))
 
 
 @dataclass(frozen=True)
@@ -233,6 +246,53 @@ def validate_params(params: SystemParams, deep: bool = False,
 
 
 # ---------------------------------------------------------------------------
+# group arithmetic: subgroup test, fixed-base alpha table
+# ---------------------------------------------------------------------------
+
+def in_subgroup(x: int, params: SystemParams) -> bool:
+    """True iff x is a non-identity element of the order-q subgroup."""
+    return 1 < x < params.p and powmod(x, params.q, params.p) == 1
+
+
+# Peer commitments Y repeat across handshakes; ephemerals B do not.
+_commitment_in_subgroup = functools.lru_cache(maxsize=4096)(in_subgroup)
+
+_ALPHA_RADIX_BITS = 4
+
+
+@functools.lru_cache(maxsize=4)
+def _alpha_table(params: SystemParams) -> tuple[tuple[int, ...], ...]:
+    """Row i holds alpha^(j * 16^i) mod p for j = 0..15, enough rows for q."""
+    p, radix = params.p, 1 << _ALPHA_RADIX_BITS
+    rows = []
+    base = params.alpha
+    for _ in range(-(-params.q.bit_length() // _ALPHA_RADIX_BITS)):
+        row = [1, base]
+        for _ in range(radix - 2):
+            row.append(row[-1] * base % p)
+        rows.append(tuple(row))
+        base = row[-1] * base % p
+    return tuple(rows)
+
+
+def alpha_pow(x: int, params: SystemParams) -> int:
+    """alpha^x mod p: one table product per radix-16 digit of x in [0, q);
+    other exponents go to ``powmod``.  Equal to ``pow`` for every x."""
+    if not 0 <= x < params.q:
+        return powmod(params.alpha, x, params.p)
+    p, mask = params.p, (1 << _ALPHA_RADIX_BITS) - 1
+    acc = 1
+    for row in _alpha_table(params):
+        if not x:
+            break
+        digit = x & mask
+        if digit:
+            acc = acc * row[digit] % p
+        x >>= _ALPHA_RADIX_BITS
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # hashing
 # ---------------------------------------------------------------------------
 
@@ -324,9 +384,10 @@ def ta_register(group: GroupParams, params: SystemParams,
     return Certificate(id=member_id, e=e, s=s, y=group.y)
 
 
+@functools.lru_cache(maxsize=1024)
 def recover_commitment(cert: Certificate, params: SystemParams) -> int:
     """Reopen the certificate commitment: alpha^s * y^-e mod p."""
-    return (powmod(params.alpha, cert.s, params.p)
+    return (alpha_pow(cert.s, params)
             * powmod(cert.y, -cert.e, params.p)) % params.p
 
 
@@ -378,7 +439,7 @@ def handshake_round1(cert: Certificate, gid: str, params: SystemParams,
     b = rand_zq_star(rng, params.q)
     msg = HandshakeMsg1(gid=gid, id=cert.id,
                         Y=recover_commitment(cert, params),
-                        B=powmod(params.alpha, b, params.p))
+                        B=alpha_pow(b, params))
     return msg, b
 
 
@@ -386,18 +447,24 @@ def _session_id(own_msg1: HandshakeMsg1, peer_msg1: HandshakeMsg1,
                 own_is_initiator: bool) -> bytes:
     first, second = ((own_msg1, peer_msg1) if own_is_initiator
                      else (peer_msg1, own_msg1))
-    return encode_msg1(first) + encode_msg1(second)
+    return first.encoded + second.encoded
 
 
 def _peer_msg1_acceptable(peer_msg1: HandshakeMsg1, rl: RevocationList,
                           params: SystemParams) -> bool:
-    if rl.is_revoked(peer_msg1.id):
-        return False
-    if not (0 < peer_msg1.Y < params.p and 0 < peer_msg1.B < params.p):
-        return False
-    # Peers whose Y has no order-q component (in particular Y = 1) are
-    # rejected: Y^((p-1)/q) must land outside {0, 1}.
-    return powmod(peer_msg1.Y, params.cofactor_exponent, params.p) not in (0, 1)
+    # Both Y and the ephemeral B must lie in the order-q subgroup before
+    # anything is raised to the secret s.
+    return (not rl.is_revoked(peer_msg1.id)
+            and _commitment_in_subgroup(peer_msg1.Y, params)
+            and in_subgroup(peer_msg1.B, params))
+
+
+@functools.lru_cache(maxsize=4096)
+def _verifier_base(params: SystemParams, y: int, member_id: str,
+                   commitment: int) -> int:
+    """y^H1(id, Y) * Y mod p under the default digest."""
+    e = h1_digest(params, member_id, commitment)
+    return powmod(y, e, params.p) * commitment % params.p
 
 
 def handshake_round2(own_cert: Certificate, own_msg1: HandshakeMsg1,
@@ -426,14 +493,19 @@ def verify_confirmation(own_b: int, own_msg1: HandshakeMsg1,
     """Check the peer's tag: true iff it holds a certificate for claimed gid.
 
     Recomputes (y^H1(id, Y) * Y)^b over the session id and compares tags;
-    the session id must bind both round-1 messages byte-exactly.
+    the session id must bind both round-1 messages byte-exactly.  A peer Y
+    outside the order-q subgroup fails before b is applied.
     """
     sid = _session_id(own_msg1, peer_msg1, own_is_initiator)
     if sid != peer_msg2.sid:
         return False
-    digest = h1 or (lambda mid, c: h1_digest(params, mid, c))
-    e_peer = digest(peer_msg1.id, peer_msg1.Y)
-    base = (powmod(peer_group_y, e_peer, params.p) * peer_msg1.Y) % params.p
+    Y = peer_msg1.Y
+    if not _commitment_in_subgroup(Y, params):
+        return False
+    if h1 is None:
+        base = _verifier_base(params, peer_group_y, peer_msg1.id, Y)
+    else:
+        base = powmod(peer_group_y, h1(peer_msg1.id, Y), params.p) * Y % params.p
     shared = powmod(base, own_b, params.p)
     return h2_tag(params, shared, sid) == peer_msg2.h
 
@@ -486,8 +558,7 @@ MSG2_TAG = b"\x02"
 
 
 def encode_msg1(msg: HandshakeMsg1) -> bytes:
-    return (MSG1_TAG + _frame(msg.gid.encode()) + _frame(msg.id.encode())
-            + _frame(int_to_bytes(msg.Y)) + _frame(int_to_bytes(msg.B)))
+    return msg.encoded
 
 
 def decode_msg1(buf: bytes) -> HandshakeMsg1:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -395,3 +396,171 @@ class TestTrustAuthority:
         assert rl.is_revoked("a") and rl.is_revoked("b")
         assert len(rl) == 2
         assert not hasattr(rl, "unrevoke")
+
+
+# ---------------------------------------------------------------------------
+# group arithmetic: subgroup test, fixed-base table, memos
+# ---------------------------------------------------------------------------
+
+BIG = DEFAULT_PARAMS_2048
+
+
+def clear_auth_memos():
+    """Empty every memo in ``prif.auth`` (the alpha table included)."""
+    cleared = 0
+    for obj in vars(auth).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+            cleared += 1
+    return cleared
+
+
+def non_members(params):
+    """0, 1, p-1 and p, and p-alpha, an element of order 2q."""
+    p = params.p
+    return (0, 1, p - 1, p, p - params.alpha)
+
+
+def honest_pair(params, seed):
+    rng = random.Random(seed)
+    group = auth.ta_create_group(params, "G", rng)
+    c1 = auth.ta_register(group, params, rng)
+    c2 = auth.ta_register(group, params, rng)
+    return group, c1, c2, rng
+
+
+def fixed_world_transcripts(params, seed):
+    """Same-group, cross-group, impostor and revoked handshakes."""
+    ta = auth.TrustAuthority(params, seed)
+    ta.create_group("A")
+    ta.create_group("B")
+    certs = {k: ta.register(g) for k, g in (("a1", "A"), ("a2", "A"),
+                                            ("r", "A"), ("b1", "B"))}
+    ta.revoke(certs["r"].id)
+    rng = random.Random(seed + 1)
+    cases = (("a1", "A", "a2", "A"), ("a1", "A", "b1", "B"),
+             ("b1", "A", "a1", "A"), ("r", "A", "a2", "A"))
+    return [auth.run_mutual_handshake(certs[ci], gi, certs[cj], gj, ta.rl,
+                                      ta.directory(), params, rng)
+            for ci, gi, cj, gj in cases]
+
+
+def transcript_key(tr):
+    return (tr["i_accepts"], tr["j_accepts"], tr["reject"], tr["msg1"],
+            tr["msg2"], tuple(tr["wire"]))
+
+
+@pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
+class TestSubgroupChecks:
+    def test_honest_elements_are_members(self, params):
+        group, c1, _, rng = honest_pair(params, 9)
+        msg, b = auth.handshake_round1(c1, "G", params, rng)
+        assert auth.in_subgroup(group.y, params)
+        assert auth.in_subgroup(msg.Y, params) and auth.in_subgroup(msg.B, params)
+
+    def test_non_members_fail(self, params):
+        for x in non_members(params):
+            assert not auth.in_subgroup(x, params)
+
+    @pytest.mark.parametrize("field", ["Y", "B"])
+    def test_round2_rejects_non_member_with_random_tag(self, params, field):
+        group, c1, c2, rng = honest_pair(params, 10)
+        own, _ = auth.handshake_round1(c1, "G", params, rng)
+        peer, _ = auth.handshake_round1(c2, "G", params, rng)
+        rl = RevocationList()
+        for k, bad in enumerate(non_members(params)):
+            fields = {"gid": peer.gid, "id": peer.id, "Y": peer.Y, "B": peer.B,
+                      field: bad}
+            msg2, rejected = auth.handshake_round2(
+                c1, own, True, HandshakeMsg1(**fields), rl, params,
+                random.Random(k))
+            assert rejected, (field, bad)
+            want = random.Random(k).getrandbits(params.kappa)
+            assert msg2.h == want.to_bytes(params.kappa // 8, "big")
+
+    def test_verify_rejects_y_outside_subgroup(self, params):
+        """The tag is the one an unchecked verifier would accept; only the
+        subgroup test of Y turns it down."""
+        group, c1, c2, rng = honest_pair(params, 11)
+        own, b = auth.handshake_round1(c1, "G", params, rng)
+        honest, _ = auth.handshake_round1(c2, "G", params, rng)
+        p = params.p
+        for bad_y in (p - honest.Y, p - 1, 1):
+            peer = HandshakeMsg1(gid="G", id=honest.id, Y=bad_y, B=honest.B)
+            sid = own.encoded + peer.encoded
+            e = auth.h1_digest(params, peer.id, bad_y)
+            shared = pow(pow(group.y, e, p) * bad_y % p, b, p)
+            forged = HandshakeMsg2(h=auth.h2_tag(params, shared, sid), sid=sid)
+            assert not auth.verify_confirmation(b, own, peer, True, group.y,
+                                                forged, params)
+            assert not auth.verify_confirmation(b, own, peer, True, group.y,
+                                                forged, params,
+                                                h1=lambda mid, c: e)
+
+
+class TestFixedBaseAlpha:
+    @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
+    def test_edges_match_pow(self, params):
+        q, p, a = params.q, params.p, params.alpha
+        for x in (*range(-40, 40), q - 1, q, q + 1, 2 * q + 5, -q,
+                  1 << q.bit_length()):
+            assert auth.alpha_pow(x, params) == pow(a, x, p), x
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.integers(0, BIG.q - 1))
+    def test_in_range_matches_pow(self, x):
+        assert auth.alpha_pow(x, BIG) == pow(BIG.alpha, x, BIG.p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.integers(-(2 ** 300), 2 ** 300))
+    def test_any_exponent_matches_pow(self, x):
+        assert auth.alpha_pow(x, BIG) == pow(BIG.alpha, x, BIG.p)
+
+    def test_table_is_built_on_first_use(self):
+        clear_auth_memos()
+        assert auth._alpha_table.cache_info().currsize == 0
+        auth.alpha_pow(5, BIG)
+        auth.alpha_pow(7, BIG)
+        info = auth._alpha_table.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+class TestMemosAreInvisible:
+    # SHA-256 over the outcomes and wire frames of fixed_world_transcripts
+    # at toy and 2048 bits (seed 7), as computed with plain pow throughout
+    # before the fixed-base table and the memos existed.
+    GOLDEN = "6575b5679d62e2c4e448bd5a863df521ac51f34476e12358e459413841c40a7a"
+
+    def test_cold_and_warm_runs_agree(self):
+        for params in (TOY, BIG):
+            assert clear_auth_memos() >= 4
+            cold = [transcript_key(t) for t in fixed_world_transcripts(params, 7)]
+            warm = [transcript_key(t) for t in fixed_world_transcripts(params, 7)]
+            assert cold == warm
+            assert [k[:3] for k in cold] == [
+                (True, True, (False, False)), (True, True, (False, False)),
+                (True, False, (False, False)), (False, False, (False, True))]
+
+    def test_transcripts_match_plain_pow_golden(self):
+        h = hashlib.sha256()
+        for params in (TOY, BIG):
+            for tr in fixed_world_transcripts(params, 7):
+                h.update(repr((tr["i_accepts"], tr["j_accepts"],
+                               tr["reject"])).encode())
+                h.update(b"".join(tr["wire"]))
+        assert h.hexdigest() == self.GOLDEN
+
+    def test_recover_commitment_memo_matches_plain_pow(self):
+        group, c1, c2, _ = honest_pair(BIG, 12)
+        clear_auth_memos()
+        y1 = auth.recover_commitment(c1, BIG)
+        assert auth.recover_commitment(c1, BIG) == y1
+        assert auth.recover_commitment.cache_info().hits == 1
+        assert y1 == pow(BIG.alpha, c1.s, BIG.p) * pow(c1.y, -c1.e, BIG.p) % BIG.p
+
+    def test_msg1_encodes_once(self, monkeypatch):
+        msg = HandshakeMsg1(gid="GA", id="ui", Y=16, B=18)
+        first = auth.encode_msg1(msg)
+        monkeypatch.setattr(auth, "int_to_bytes", None)
+        assert auth.encode_msg1(msg) is first
+        assert msg == HandshakeMsg1(gid="GA", id="ui", Y=16, B=18)

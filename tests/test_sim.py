@@ -622,3 +622,27 @@ class TestPaperScale:
         parts = (rep.delivered + rep.expired + rep.dropped
                  + rep.buffered_at_end + rep.rejected)
         assert parts == rep.created
+
+
+class TestProtocolScale:
+    def test_2048_bit_desk_run_matches_toy(self, monkeypatch):
+        """Group authentication at protocol scale decides the same contacts
+        as the toy group, so the report is the same."""
+        from prif import auth
+        bits = []
+        handshake = auth.run_mutual_handshake
+
+        def recorded(*args):
+            bits.append(args[6].p.bit_length())
+            return handshake(*args)
+
+        monkeypatch.setattr(auth, "run_mutual_handshake", recorded)
+        reports = {}
+        for crypto in ("toy", "2048"):
+            sc = desk_preset().with_overrides(crypto=crypto, warmup=0.0,
+                                              duration=1500.0)
+            reports[crypto] = json.dumps(run(sc).to_dict(), sort_keys=True)
+        assert reports["2048"] == reports["toy"]
+        assert json.loads(reports["toy"])["relayed"] > 0
+        half = len(bits) // 2
+        assert half > 0 and bits == [5] * half + [2048] * half
