@@ -25,11 +25,12 @@ or random draw depends on them or on whether a memo is warm:
 
 * ``alpha_pow`` reads alpha^x from a radix-16 table of alpha^(j * 16^i)
   (Lim & Lee, CRYPTO '94), built per parameter set on first use, for
-  alpha^b in round 1 and alpha^s in ``recover_commitment``; exponents
-  outside [0, q) go to ``powmod``;
+  every alpha^x: group keys, certificate commitments, alpha^b in round 1
+  and alpha^s in ``recover_commitment``; exponents outside [0, q) go to
+  ``powmod``;
 * bounded ``functools.lru_cache`` memos hold ``recover_commitment`` per
   certificate, the subgroup test of a peer's Y, and the verifier base
-  y^H1(id, Y) * Y under the default H1;
+  y^e * Y keyed on e = H1(id, Y), whichever H1 computed it;
 * a round-1 message encodes itself once (``HandshakeMsg1.encoded``).
 
 All randomness flows through caller-supplied seeds or ``random.Random``
@@ -254,8 +255,18 @@ def in_subgroup(x: int, params: SystemParams) -> bool:
     return 1 < x < params.p and powmod(x, params.q, params.p) == 1
 
 
-# Peer commitments Y repeat across handshakes; ephemerals B do not.
-_commitment_in_subgroup = functools.lru_cache(maxsize=4096)(in_subgroup)
+# Size of each memo on public values below.  A node holds one certificate,
+# so each needs about one entry per node that handshakes: 59 in a 1,500 s
+# desk run at crypto = 2048 (63 nodes), at most 166 in the paper scenario.
+# Larger populations stay exact, with fewer hits.  In that desk run the
+# memos hit 78% (commitment, verifier base) and 89% (subgroup test of Y)
+# of calls.  Dropping any one of them adds 11-19 ms (median) to a 33 ms
+# 2048-bit handshake (BENCH_handshake.json, "memos").
+_PEER_MEMO_SIZE = 256
+
+# A peer's Y is tested in round 2 and again in verification, and recurs
+# at every contact with that peer; ephemerals B are fresh each time.
+_commitment_in_subgroup = functools.lru_cache(maxsize=_PEER_MEMO_SIZE)(in_subgroup)
 
 _ALPHA_RADIX_BITS = 4
 
@@ -352,7 +363,7 @@ def ta_create_group(params: SystemParams, gid: str,
     """Sample a group secret in Z*_q and publish y = alpha^secret mod p."""
     rng = as_rng(seed)
     secret = rand_zq_star(rng, params.q)
-    y = powmod(params.alpha, secret, params.p)
+    y = alpha_pow(secret, params)
     return GroupParams(gid=gid, y=y, secret=secret)
 
 
@@ -376,7 +387,7 @@ def ta_register(group: GroupParams, params: SystemParams,
     if used_ids is not None:
         used_ids.add(member_id)
     k = rand_zq_star(rng, params.q)
-    commitment = powmod(params.alpha, k, params.p)
+    commitment = alpha_pow(k, params)
     e = digest(member_id, commitment)
     if not 0 < e < params.q:
         raise ValueError("certificate digest must lie in Z*_q")
@@ -384,7 +395,7 @@ def ta_register(group: GroupParams, params: SystemParams,
     return Certificate(id=member_id, e=e, s=s, y=group.y)
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=_PEER_MEMO_SIZE)
 def recover_commitment(cert: Certificate, params: SystemParams) -> int:
     """Reopen the certificate commitment: alpha^s * y^-e mod p."""
     return (alpha_pow(cert.s, params)
@@ -459,11 +470,9 @@ def _peer_msg1_acceptable(peer_msg1: HandshakeMsg1, rl: RevocationList,
             and in_subgroup(peer_msg1.B, params))
 
 
-@functools.lru_cache(maxsize=4096)
-def _verifier_base(params: SystemParams, y: int, member_id: str,
-                   commitment: int) -> int:
-    """y^H1(id, Y) * Y mod p under the default digest."""
-    e = h1_digest(params, member_id, commitment)
+@functools.lru_cache(maxsize=_PEER_MEMO_SIZE)
+def _verifier_base(params: SystemParams, y: int, e: int, commitment: int) -> int:
+    """y^e * Y mod p, where e = H1(id, Y)."""
     return powmod(y, e, params.p) * commitment % params.p
 
 
@@ -502,11 +511,8 @@ def verify_confirmation(own_b: int, own_msg1: HandshakeMsg1,
     Y = peer_msg1.Y
     if not _commitment_in_subgroup(Y, params):
         return False
-    if h1 is None:
-        base = _verifier_base(params, peer_group_y, peer_msg1.id, Y)
-    else:
-        base = powmod(peer_group_y, h1(peer_msg1.id, Y), params.p) * Y % params.p
-    shared = powmod(base, own_b, params.p)
+    e = (h1 or functools.partial(h1_digest, params))(peer_msg1.id, Y)
+    shared = powmod(_verifier_base(params, peer_group_y, e, Y), own_b, params.p)
     return h2_tag(params, shared, sid) == peer_msg2.h
 
 

@@ -564,3 +564,26 @@ class TestMemosAreInvisible:
         monkeypatch.setattr(auth, "int_to_bytes", None)
         assert auth.encode_msg1(msg) is first
         assert msg == HandshakeMsg1(gid="GA", id="ui", Y=16, B=18)
+
+    @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
+    def test_verifier_base_memo_follows_the_digest(self, params):
+        """A warm default-H1 entry for (id, Y) is not reused when a custom
+        H1 gives another digest, and a custom H1 equal to the default
+        accepts."""
+        group, c1, c2, rng = honest_pair(params, 13)
+        rl = RevocationList()
+        m1, b1 = auth.handshake_round1(c1, "G", params, rng)
+        m2, _ = auth.handshake_round1(c2, "G", params, rng)
+        tag, _ = auth.handshake_round2(c2, m2, False, m1, rl, params, rng)
+        clear_auth_memos()
+
+        def verify(h1=None):
+            return auth.verify_confirmation(b1, m1, m2, True, group.y, tag,
+                                            params, h1=h1)
+
+        e = auth.h1_digest(params, m2.id, m2.Y)
+        assert verify()
+        assert not verify(h1=lambda mid, c: e % (params.q - 1) + 1)
+        assert verify(h1=lambda mid, c: e)
+        info = auth._verifier_base.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
