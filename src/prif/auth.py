@@ -29,9 +29,18 @@ or random draw depends on them or on whether a memo is warm:
   and alpha^s in ``recover_commitment``; exponents outside [0, q) go to
   ``powmod``;
 * bounded ``functools.lru_cache`` memos hold ``recover_commitment`` per
-  certificate, the subgroup test of a peer's Y, and the verifier base
+  certificate, the subgroup test of a peer's Y, the default-digest
+  H1(id, Y) (a caller-supplied ``h1`` bypasses it), and the verifier base
   y^e * Y keyed on e = H1(id, Y), whichever H1 computed it;
-* a round-1 message encodes itself once (``HandshakeMsg1.encoded``).
+* a round-1 message encodes itself once (``HandshakeMsg1.encoded``), and
+  its wire prefix (tag, gid, id and Y frames) is memoised per credential,
+  so only the fresh B is framed per contact;
+* ``SystemParams`` and ``Certificate`` hash their fields once, at
+  construction, since they key most of the memo lookups of a handshake.
+
+In the toy group that every simulated contact uses, the exponentiations
+are cheap and the handshake's cost is Python overhead, which is why public
+values that recur between contacts are memoised even there.
 
 All randomness flows through caller-supplied seeds or ``random.Random``
 streams; nothing here reads the clock or os entropy, so handshakes replay
@@ -43,7 +52,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable
 
 
@@ -71,7 +80,7 @@ def int_to_bytes(n: int) -> bytes:
     """Minimal-length unsigned big-endian encoding (one byte for zero)."""
     if n < 0:
         raise ValueError("only non-negative integers are encoded")
-    return n.to_bytes(max(1, (n.bit_length() + 7) // 8), "big")
+    return n.to_bytes((n.bit_length() + 7) // 8 or 1, "big")
 
 
 def _frame(data: bytes) -> bytes:
@@ -88,18 +97,53 @@ def _read_frame(buf: bytes, off: int) -> tuple[bytes, int]:
     return buf[off:off + n], off + n
 
 
+def _read_int_frame(buf: bytes, off: int) -> tuple[int, int]:
+    """An integer frame in ``int_to_bytes``'s encoding, which is the only
+    one accepted, so that each wire frame has exactly one meaning."""
+    data, off = _read_frame(buf, off)
+    if not data or (len(data) > 1 and data[0] == 0):
+        raise ValueError("integer frame is empty or has a leading zero byte")
+    return int.from_bytes(data, "big"), off
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
 
+class _HashedOnce:
+    """Frozen-dataclass mixin: hash the fields once, at construction.
+
+    Parameters and certificates key the memos below, several lookups per
+    handshake; the generated ``__hash__`` would rebuild and hash the field
+    tuple at each one.  A class must still assign ``__hash__`` in its own
+    body, or ``dataclass`` replaces it.  Unpickling re-runs ``__init__``,
+    so a copy sent to another process rehashes there (str hashes are salted
+    per process).
+    """
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self._field_values()))
+
+    def _field_values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._field_values()
+
+
 @dataclass(frozen=True)
-class SystemParams:
+class SystemParams(_HashedOnce):
     """Public group parameters: primes p, q (q | p-1) and alpha of order q."""
 
     p: int
     q: int
     alpha: int
     kappa: int = 256
+
+    __hash__ = _HashedOnce.__hash__
 
 
 @dataclass(frozen=True)
@@ -112,13 +156,15 @@ class GroupParams:
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(_HashedOnce):
     """Member credential (id, e, s, y): a Schnorr signature by the TA."""
 
     id: str
     e: int
     s: int
     y: int
+
+    __hash__ = _HashedOnce.__hash__
 
 
 class RevocationList:
@@ -147,8 +193,7 @@ class HandshakeMsg1:
     @functools.cached_property
     def encoded(self) -> bytes:
         """Wire bytes, encoded once and shared by the codec and session id."""
-        return (MSG1_TAG + _frame(self.gid.encode()) + _frame(self.id.encode())
-                + _frame(int_to_bytes(self.Y)) + _frame(int_to_bytes(self.B)))
+        return _msg1_prefix(self.gid, self.id, self.Y) + _frame(int_to_bytes(self.B))
 
 
 @dataclass(frozen=True)
@@ -261,7 +306,8 @@ def in_subgroup(x: int, params: SystemParams) -> bool:
 # Larger populations stay exact, with fewer hits.  In that desk run the
 # memos hit 78% (commitment, verifier base) and 89% (subgroup test of Y)
 # of calls.  Dropping any one of them adds 11-19 ms (median) to a 33 ms
-# 2048-bit handshake (BENCH_handshake.json, "memos").
+# 2048-bit handshake (BENCH_handshake.json, "memos").  In a 45k s toy desk
+# run (seed 11) the per-credential memos miss 63 of 8,196 calls each.
 _PEER_MEMO_SIZE = 256
 
 # A peer's Y is tested in round 2 and again in verification, and recurs
@@ -319,9 +365,16 @@ def h1_digest(params: SystemParams, member_id: str, commitment: int) -> int:
         counter += 1
 
 
+# verify_confirmation digests the peer's (id, Y) at every contact, and both
+# recur across contacts with that peer.  A caller-supplied H1 bypasses it.
+_default_h1 = functools.lru_cache(maxsize=_PEER_MEMO_SIZE)(h1_digest)
+
+
 def h2_tag(params: SystemParams, shared_key: int, sid: bytes) -> bytes:
     """kappa-bit confirmation tag with domain tag PRIF-H2."""
-    data = b"PRIF-H2" + _frame(int_to_bytes(shared_key)) + _frame(sid)
+    key = int_to_bytes(shared_key)
+    data = b"".join((b"PRIF-H2", len(key).to_bytes(4, "big"), key,
+                     len(sid).to_bytes(4, "big"), sid))
     return hashlib.sha256(data).digest()[: params.kappa // 8]
 
 
@@ -511,7 +564,8 @@ def verify_confirmation(own_b: int, own_msg1: HandshakeMsg1,
     Y = peer_msg1.Y
     if not _commitment_in_subgroup(Y, params):
         return False
-    e = (h1 or functools.partial(h1_digest, params))(peer_msg1.id, Y)
+    e = (_default_h1(params, peer_msg1.id, Y) if h1 is None
+         else h1(peer_msg1.id, Y))
     shared = powmod(_verifier_base(params, peer_group_y, e, Y), own_b, params.p)
     return h2_tag(params, shared, sid) == peer_msg2.h
 
@@ -563,6 +617,14 @@ MSG1_TAG = b"\x01"
 MSG2_TAG = b"\x02"
 
 
+@functools.lru_cache(maxsize=_PEER_MEMO_SIZE)
+def _msg1_prefix(gid: str, member_id: str, commitment: int) -> bytes:
+    """Round-1 wire bytes up to B: the same at every contact of one
+    credential, so only the fresh ephemeral is framed per message."""
+    return (MSG1_TAG + _frame(gid.encode()) + _frame(member_id.encode())
+            + _frame(int_to_bytes(commitment)))
+
+
 def encode_msg1(msg: HandshakeMsg1) -> bytes:
     return msg.encoded
 
@@ -573,12 +635,11 @@ def decode_msg1(buf: bytes) -> HandshakeMsg1:
     off = 1
     gid, off = _read_frame(buf, off)
     mid, off = _read_frame(buf, off)
-    y, off = _read_frame(buf, off)
-    b, off = _read_frame(buf, off)
+    y, off = _read_int_frame(buf, off)
+    b, off = _read_int_frame(buf, off)
     if off != len(buf):
         raise ValueError("trailing bytes after round-1 message")
-    return HandshakeMsg1(gid=gid.decode(), id=mid.decode(),
-                         Y=int.from_bytes(y, "big"), B=int.from_bytes(b, "big"))
+    return HandshakeMsg1(gid=gid.decode(), id=mid.decode(), Y=y, B=b)
 
 
 def encode_msg2(msg: HandshakeMsg2, kappa: int = 256) -> bytes:

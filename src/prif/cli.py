@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import auth
+from . import auth, routing
 from .sim.engine import SWEEP_AXES, TRACE_SCHEMA, run_sweep
 from .sim.metrics import MetricsReport
 from .sim.scenario import PRESETS, ROUTERS, desk_preset, scenario_from_ini
@@ -340,7 +340,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (ValueError, KeyError, OSError, auth.ParameterGenError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError,
+            routing.SealError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
 

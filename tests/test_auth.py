@@ -1,5 +1,11 @@
+import copy
+import dataclasses
 import hashlib
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -332,6 +338,36 @@ class TestWire:
         msg = HandshakeMsg2(h=h, sid=sid)
         assert auth.decode_msg2(auth.encode_msg2(msg)) == msg
 
+    @settings(max_examples=300)
+    @given(tag=st.sampled_from([b"\x01", b"\x01", b"\x02"]),
+           fields=st.lists(st.binary(max_size=6) | st.sampled_from(
+               [b"", b"\x00", b"\x00\x05", b"\x05", b"GA", b"\xff\xfe"]),
+               min_size=4, max_size=4),
+           tail=st.sampled_from([b"", b"", b"", b"\x00"]))
+    def test_accepted_msg1_frames_reencode_exactly(self, tag, fields, tail):
+        """Whatever round-1 frame the decoder accepts is the one encoding of
+        the message it decodes to."""
+        buf = tag + b"".join(auth._frame(f) for f in fields) + tail
+        try:
+            msg = auth.decode_msg1(buf)
+        except ValueError:
+            return
+        assert msg.encoded == buf
+
+    @pytest.mark.parametrize("field", ["Y", "B"])
+    @pytest.mark.parametrize("body", [b"\x00\x05", b"\x00\x00", b""],
+                             ids=["leading-zero", "zero-as-two-bytes", "empty"])
+    def test_decode_rejects_non_minimal_integers(self, field, body):
+        frames = {"Y": b"\x10", "B": b"\x12", field: body}
+        buf = (b"\x01" + auth._frame(b"GA") + auth._frame(b"ui")
+               + auth._frame(frames["Y"]) + auth._frame(frames["B"]))
+        with pytest.raises(ValueError):
+            auth.decode_msg1(buf)
+
+    def test_decode_accepts_zero_as_one_byte(self):
+        msg = HandshakeMsg1(gid="GA", id="ui", Y=0, B=18)
+        assert auth.decode_msg1(auth.encode_msg1(msg)) == msg
+
     def test_decode_rejects_trailing_bytes(self):
         enc = auth.encode_msg1(HandshakeMsg1("G", "m", 5, 6)) + b"\x00"
         with pytest.raises(ValueError):
@@ -533,8 +569,12 @@ class TestMemosAreInvisible:
 
     def test_cold_and_warm_runs_agree(self):
         for params in (TOY, BIG):
-            assert clear_auth_memos() >= 4
+            assert clear_auth_memos() >= 6
+            assert auth._default_h1.cache_info().currsize == 0
+            assert auth._msg1_prefix.cache_info().currsize == 0
             cold = [transcript_key(t) for t in fixed_world_transcripts(params, 7)]
+            assert auth._default_h1.cache_info().currsize > 0
+            assert auth._msg1_prefix.cache_info().currsize > 0
             warm = [transcript_key(t) for t in fixed_world_transcripts(params, 7)]
             assert cold == warm
             assert [k[:3] for k in cold] == [
@@ -557,6 +597,71 @@ class TestMemosAreInvisible:
         assert auth.recover_commitment(c1, BIG) == y1
         assert auth.recover_commitment.cache_info().hits == 1
         assert y1 == pow(BIG.alpha, c1.s, BIG.p) * pow(c1.y, -c1.e, BIG.p) % BIG.p
+
+    @settings(max_examples=100)
+    @given(gid=st.text(max_size=8), mid=st.text(max_size=8),
+           y=st.integers(0, 2**64), bs=st.lists(st.integers(0, 2**64),
+                                                min_size=1, max_size=3))
+    def test_prefix_memo_matches_plain_concatenation(self, gid, mid, y, bs):
+        """Messages of one credential share the memoised prefix and still
+        encode as the plain concatenation of their frames."""
+        f, i2b = auth._frame, auth.int_to_bytes
+        for b in bs:
+            msg = HandshakeMsg1(gid=gid, id=mid, Y=y, B=b)
+            assert msg.encoded == (auth.MSG1_TAG + f(gid.encode()) + f(mid.encode())
+                                   + f(i2b(y)) + f(i2b(b)))
+
+    @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
+    def test_custom_h1_bypasses_the_default_digest_memo(self, params):
+        group, c1, c2, rng = honest_pair(params, 14)
+        rl = RevocationList()
+        m1, b1 = auth.handshake_round1(c1, "G", params, rng)
+        m2, _ = auth.handshake_round1(c2, "G", params, rng)
+        tag, _ = auth.handshake_round2(c2, m2, False, m1, rl, params, rng)
+        e = auth.h1_digest(params, m2.id, m2.Y)
+        clear_auth_memos()
+        assert auth.verify_confirmation(b1, m1, m2, True, group.y, tag, params,
+                                        h1=lambda mid, c: e)
+        info = auth._default_h1.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert auth.verify_confirmation(b1, m1, m2, True, group.y, tag, params)
+        assert auth._default_h1.cache_info().misses == 1
+        assert auth._default_h1(params, m2.id, m2.Y) == e
+
+    @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
+    def test_cached_hashes_match_fresh_instances(self, params):
+        _, cert, _, _ = honest_pair(params, 15)
+        fresh_params = SystemParams(p=params.p, q=params.q, alpha=params.alpha,
+                                    kappa=params.kappa)
+        fresh_cert = Certificate(id=cert.id, e=cert.e, s=cert.s, y=cert.y)
+        for obj, fresh in ((params, fresh_params), (cert, fresh_cert)):
+            for twin in (fresh, pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+                assert twin == obj and hash(twin) == hash(obj)
+            assert repr(obj) == repr(fresh)
+        other = dataclasses.replace(cert, id=cert.id + "0")
+        assert other != cert and hash(other) == hash(
+            Certificate(id=cert.id + "0", e=cert.e, s=cert.s, y=cert.y))
+
+    def test_unpickled_certificate_rehashes_in_its_own_process(self, tmp_path):
+        """A pickled certificate carries no hash: str hashes are salted per
+        process, so the receiving process must hash the fields itself."""
+        _, cert, _, _ = honest_pair(TOY, 16)
+        path = tmp_path / "cert.pickle"
+        path.write_bytes(pickle.dumps((cert, TOY)))
+        code = (
+            "import pickle, sys\n"
+            "from prif.auth import Certificate, SystemParams\n"
+            "cert, params = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "fresh = Certificate(id=cert.id, e=cert.e, s=cert.s, y=cert.y)\n"
+            "assert hash(cert) == hash(fresh), 'certificate hash'\n"
+            "assert hash(params) == hash(SystemParams(*[getattr(params, f) "
+            "for f in 'p q alpha kappa'.split()])), 'params hash'\n"
+            "assert {cert: 1}[fresh] == 1\n")
+        env = {**os.environ, "PYTHONHASHSEED": "12345",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_msg1_encodes_once(self, monkeypatch):
         msg = HandshakeMsg1(gid="GA", id="ui", Y=16, B=18)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from prif import routing
 from prif.cli import main
 from prif.sim import run, scenario_from_ini
 from prif.sim.engine import TRACE_SCHEMA
@@ -162,6 +163,21 @@ class TestRunCommand:
                      "--out", str(out)]) == 1
         assert "empty list" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [routing.SealError("payload failed integrity check"),
+                                     RuntimeError("payload failed integrity check")],
+                             ids=["seal-error", "runtime-error"])
+    def test_runtime_failure_exits_2_without_traceback(self, mini_config, tmp_path,
+                                                        capsys, monkeypatch, exc):
+        def fail(sealed, identity):
+            raise exc
+
+        monkeypatch.setattr(routing, "unseal_payload", fail)
+        code = main(["run", "--config", str(mini_config), "--seeds", "4",
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: payload failed integrity check\n"
 
     def test_sweep_needs_values(self, mini_config, tmp_path, capsys):
         code = main(["run", "--config", str(mini_config), "--sweep", "buffer",

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -317,6 +318,15 @@ class TestDelivery:
         m = msg(hop_count=0)
         assert relay_copy(m).hop_count == 1
         assert relay_copy(relay_copy(m)).hop_count == 2
+
+    def test_relay_copy_keeps_every_other_field(self):
+        """relay_copy lists Message's fields itself; a field it missed
+        would fall back to its default here."""
+        m = msg(msg_id=7, source=3, destination=5, dest_gid="G7",
+                dest_interest=2, size=321, created_at=12.5, ttl_min=90.0,
+                hop_count=4, payload=b"sealed")
+        assert relay_copy(m) == dataclasses.replace(m, hop_count=5)
+        assert len(dataclasses.fields(Message)) == 10
 
 
 class TestAntipackets:
