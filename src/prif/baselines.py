@@ -17,8 +17,8 @@ from typing import Iterable
 
 from .energy import EnergyParams, decay_windows
 from .model import Message, NodeId, SimTime
-from .routing import (Action, ForwardDecision, PrifRouter, Reason, Router,
-                      WireLog, interest_wire_bytes)
+from .routing import (Action, ForwardDecision, Frames, PrifRouter, Reason,
+                      Router, interest_wire_bytes)
 from .routing import unseal_payload  # noqa: F401  (perfbench's tracer patches it here)
 
 
@@ -50,16 +50,11 @@ class NoPrivacyPrifRouter(PrifRouter):
         return interest_wire_bytes(m.dest_interest)
 
     def begin_contact(self, other: "NoPrivacyPrifRouter", now: SimTime,
-                      rng: random.Random,
-                      wire: WireLog | None = None) -> tuple[bool, int, int]:
-        frame_self = interest_wire_bytes(self.interest)
-        frame_other = interest_wire_bytes(other.interest)
-        if wire is not None:
-            wire.record(now, self.node, other.node, "interest_plain", frame_self)
-            wire.record(now, other.node, self.node, "interest_plain", frame_other)
+                      rng: random.Random) -> tuple[bool, Frames, Frames]:
         self.sessions[other.node] = other.interest
         other.sessions[self.node] = self.interest
-        return True, len(frame_self), len(frame_other)
+        return (True, (interest_wire_bytes(self.interest),),
+                (interest_wire_bytes(other.interest),))
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +67,10 @@ class EpidemicRouter(Router):
     kind = "epidemic"
 
     def begin_contact(self, other: "EpidemicRouter", now: SimTime,
-                      rng: random.Random,
-                      wire: WireLog | None = None) -> tuple[bool, int, int]:
-        if wire is not None:
-            for a, b in ((self, other), (other, self)):
-                ids = sorted(a.buffer.ids() | a.delivered_ids)
-                frame = b"SUMMARY" + b"".join(i.to_bytes(8, "big") for i in ids)
-                wire.record(now, a.node, b.node, "summary_vector", frame)
+                      rng: random.Random) -> tuple[bool, Frames, Frames]:
         self.sessions[other.node] = True
         other.sessions[self.node] = True
-        return True, 0, 0
+        return True, (), ()
 
     def decide(self, peer: "EpidemicRouter", m: Message, now: SimTime) -> ForwardDecision:
         """Flood: deliver at the destination, otherwise relay any missing copy."""
@@ -156,8 +145,7 @@ class ProphetRouter(Router):
             s.last_aged_at, now, s.window)
 
     def begin_contact(self, other: "ProphetRouter", now: SimTime,
-                      rng: random.Random,
-                      wire: WireLog | None = None) -> tuple[bool, int, int]:
+                      rng: random.Random) -> tuple[bool, Frames, Frames]:
         """Encounter bump both ways, then mutual transitive folding."""
         self.state.age(now)
         other.state.age(now)
@@ -167,14 +155,9 @@ class ProphetRouter(Router):
         vec_other = sorted(other.state.p.items())
         self.state.transitive(other.node, vec_other)
         other.state.transitive(self.node, vec_self)
-        if wire is not None:
-            for a, vec in ((self, vec_self), (other, vec_other)):
-                frame = b"PPRED" + b"".join(n.to_bytes(8, "big") for n, _ in vec)
-                peer_node = other.node if a is self else self.node
-                wire.record(now, a.node, peer_node, "predictability_vector", frame)
         self.sessions[other.node] = True
         other.sessions[self.node] = True
-        return True, 0, 0
+        return True, (), ()
 
     def decide(self, peer: "ProphetRouter", m: Message, now: SimTime) -> ForwardDecision:
         if peer.node == m.destination:

@@ -88,10 +88,3 @@ class ContactEvent:
     @property
     def duration(self) -> float:
         return self.end - self.start
-
-    def peer_of(self, node: NodeId) -> NodeId:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise ValueError(f"node {node} not part of contact {self}")

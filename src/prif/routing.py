@@ -97,13 +97,11 @@ def unseal_payload(sealed: bytes, dest_pseudo_identity: str) -> bytes:
         raise SealError("payload failed integrity check") from exc
 
 
-def random_nonce(rng: random.Random) -> bytes:
-    return rng.getrandbits(8 * _NONCE_LEN).to_bytes(_NONCE_LEN, "big")
-
-
 # ---------------------------------------------------------------------------
-# wire capture
+# wire frames
 # ---------------------------------------------------------------------------
+
+Frames = tuple[bytes, ...]   # one side's frames, in sending order
 
 INTEREST_MARKER = b"INTEREST="
 
@@ -111,23 +109,6 @@ INTEREST_MARKER = b"INTEREST="
 def interest_wire_bytes(interest: int) -> bytes:
     """Plaintext community announcement used only by the no-privacy router."""
     return INTEREST_MARKER + str(interest).encode()
-
-
-class WireLog:
-    """Capture of every frame a run would put on the air, for privacy tests."""
-
-    def __init__(self) -> None:
-        self.frames: list[tuple[SimTime, NodeId, NodeId, str, bytes]] = []
-
-    def record(self, now: SimTime, sender: NodeId, receiver: NodeId,
-               kind: str, payload: bytes) -> None:
-        self.frames.append((now, sender, receiver, kind, payload))
-
-    def all_bytes(self) -> bytes:
-        return b"".join(f[4] for f in self.frames)
-
-    def kinds(self) -> set[str]:
-        return {f[3] for f in self.frames}
 
 
 def encode_message_header(m: Message, community_label: bytes) -> bytes:
@@ -207,11 +188,11 @@ class AuthContext:
 class Router:
     """Per-node state and the contact-time logic every flavour shares.
 
-    A flavour supplies its contact setup ``begin_contact(other, now, rng,
-    wire) -> (usable, bytes sent by self, bytes sent by other)``, its
+    A flavour supplies its contact setup ``begin_contact(other, now, rng)
+    -> (usable, frames sent by self, frames sent by other)``, its
     forwarding decision ``decide(peer, m, now)`` and its transmission order
     ``_schedule_key(m, peer, now)``; the default eviction order drops the
-    oldest copy first.
+    oldest copy first.  The setup frames are what the link budget is charged.
     """
 
     gossips_antipackets = False
@@ -344,30 +325,21 @@ class PrifRouter(Router):
     # -- contact lifecycle ----------------------------------------------------
 
     def begin_contact(self, other: "PrifRouter", now: SimTime,
-                      rng: random.Random,
-                      wire: WireLog | None = None) -> tuple[bool, int, int]:
+                      rng: random.Random) -> tuple[bool, Frames, Frames]:
         """Mutual group authentication; only a mutual accept opens the link.
 
-        Returns (usable, handshake bytes sent by self, bytes sent by other)
-        so the link budget can be charged when configured.
+        Returns (usable, frames sent by self, frames sent by other): each
+        side's round-1 and round-2 handshake frames.
         """
         ctx = self.auth_ctx
         transcript = auth.run_mutual_handshake(
             self.cert, self.gid, other.cert, other.gid,
             ctx.rl, ctx.directory, ctx.params, rng)
         w1i, w1j, w2i, w2j = transcript["wire"]
-        if wire is not None:
-            wire.record(now, self.node, other.node, "handshake1", w1i)
-            wire.record(now, other.node, self.node, "handshake1", w1j)
-            wire.record(now, self.node, other.node, "handshake2", w2i)
-            wire.record(now, other.node, self.node, "handshake2", w2j)
-        cost_self = len(w1i) + len(w2i)
-        cost_other = len(w1j) + len(w2j)
-        if not transcript["mutual"]:
-            return False, cost_self, cost_other
-        self.sessions[other.node] = transcript["gid_j"]
-        other.sessions[self.node] = transcript["gid_i"]
-        return True, cost_self, cost_other
+        if transcript["mutual"]:
+            self.sessions[other.node] = transcript["gid_j"]
+            other.sessions[self.node] = transcript["gid_i"]
+        return transcript["mutual"], (w1i, w2i), (w1j, w2j)
 
     def end_contact(self, other: "PrifRouter", contact: ContactEvent) -> None:
         """Community-energy awareness pass, then session teardown.

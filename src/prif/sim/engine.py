@@ -9,6 +9,11 @@ Forwarding decisions therefore always see pre-contact values.
 Event order is (time, kind priority) with contact starts before message
 creations before contact ends at equal times; remaining ties keep the
 trace's own order of contacts and plan entries.
+
+A replay can append its events to a list as ``(t, kind, a, b, x)``: the
+``TRACE_KINDS`` of the text trace (``x`` a message id), ``decide`` (``x`` =
+msg_id, action, reason) and ``frame`` (``x`` = the bytes ``a`` sent ``b``:
+setup frames, then a header and a payload per transfer).
 """
 
 from __future__ import annotations
@@ -19,32 +24,39 @@ from concurrent.futures import ProcessPoolExecutor
 from .. import auth
 from ..baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
 from ..model import ContactEvent, Message
-from ..routing import (Action, AuthContext, PrifRouter, Router, WireLog,
+from ..routing import (Action, AuthContext, PrifRouter, Router,
                        encode_message_header, relay_copy, seal_payload)
 from .metrics import MetricsLedger, MetricsReport
 from .scenario import MB, Scenario
 from .trace import ContactTrace, build_trace, stream_seed, _STREAM_CRYPTO
 
+TRACE_KINDS = ("contact_start", "contact_end", "hs_ok", "hs_fail", "create",
+               "reject", "relay", "deliver", "dup", "anti", "handoff", "evict",
+               "expire", "partial")
 TRACE_SCHEMA = ("lines are 'time kind a b msg'; '-' marks an absent field; "
-                "kinds: contact_start contact_end hs_ok hs_fail create reject "
-                "relay deliver dup anti handoff evict expire partial")
+                "kinds: " + " ".join(TRACE_KINDS))
 
-DecisionLog = list[tuple[float, int, int, int, str, str]]
+Event = tuple[float, str, int | None, int | None, object]
+
+
+def format_trace(events: list[Event]) -> list[str]:
+    """The text trace of an event list: one 'time kind a b msg' line per
+    event whose kind is in ``TRACE_KINDS``, in list order."""
+    def field(v) -> str:
+        return "-" if v is None else str(v)
+    return [f"{t:.1f} {kind} {field(a)} {field(b)} {field(x)}"
+            for t, kind, a, b, x in events if kind in TRACE_KINDS]
 
 
 class ReplayEngine:
     """One run: scenario + trace + router flavour -> metrics report."""
 
     def __init__(self, scenario: Scenario, trace: ContactTrace,
-                 wire: WireLog | None = None,
-                 decisions: DecisionLog | None = None,
-                 trace_lines: list[str] | None = None) -> None:
+                 events: list[Event] | None = None) -> None:
         scenario.validate()
         self.scenario = scenario
         self.trace = trace
-        self.wire = wire
-        self.decisions = decisions
-        self.trace_lines = trace_lines
+        self.events = events
         self.ledger = MetricsLedger()
         self.crypto_rng = random.Random(stream_seed(scenario.seed, _STREAM_CRYPTO))
         self.ta: auth.TrustAuthority | None = None
@@ -79,14 +91,15 @@ class ReplayEngine:
         }[sc.router]
         return {node: make(node, i) for node, i in enumerate(interests)}
 
-    # -- trace lines ----------------------------------------------------------
+    # -- event stream ---------------------------------------------------------
 
-    def _line(self, t: float, kind: str, a, b, msg) -> None:
-        if self.trace_lines is not None:
-            fa = "-" if a is None else str(a)
-            fb = "-" if b is None else str(b)
-            fm = "-" if msg is None else str(msg)
-            self.trace_lines.append(f"{t:.1f} {kind} {fa} {fb} {fm}")
+    def _emit(self, t: float, kind: str, a, b, x) -> None:
+        if self.events is not None:
+            self.events.append((t, kind, a, b, x))
+
+    def _gone(self, now: float, node: int, copy: Message, kind: str) -> None:
+        self.ledger.on_copy_gone(copy, kind)
+        self._emit(now, kind, node, None, copy.msg_id)
 
     # -- event handlers ----------------------------------------------------------
 
@@ -102,7 +115,7 @@ class ReplayEngine:
                     size_bytes=p.size_bytes, created_at=p.t, ttl_min=sc.ttl_min,
                     hop_count=0, payload=sealed)
         self.ledger.on_create(m)
-        self._line(p.t, "create", p.source, p.destination, p.msg_id)
+        self._emit(p.t, "create", p.source, p.destination, p.msg_id)
         src_router = self.routers[p.source]
         admitted, evicted, purged = src_router.admit(m, p.t)
         self._account_buffer_fallout(p.t, p.source, evicted, purged)
@@ -110,80 +123,83 @@ class ReplayEngine:
             self.ledger.on_admit(m)
         else:
             self.ledger.on_reject(m)
-            self._line(p.t, "reject", p.source, None, p.msg_id)
+            self._emit(p.t, "reject", p.source, None, p.msg_id)
 
     def _account_buffer_fallout(self, now: float, node: int,
                                 evicted: list[Message], purged: list[Message]) -> None:
         for v in purged:
-            self.ledger.on_copy_gone(v, "expired")
-            self._line(now, "expire", node, None, v.msg_id)
+            self._gone(now, node, v, "expire")
         for v in evicted:
-            self.ledger.on_copy_gone(v, "evicted")
-            self._line(now, "evict", node, None, v.msg_id)
+            self._gone(now, node, v, "evict")
 
     def _on_contact_start(self, c: ContactEvent) -> None:
         ra, rb = self.routers[c.a], self.routers[c.b]
-        ok, cost_ab, cost_ba = ra.begin_contact(rb, c.start, self.crypto_rng, self.wire)
+        ok, frames_ab, frames_ba = ra.begin_contact(rb, c.start, self.crypto_rng)
+        cost_ab = cost_ba = 0
+        if self.scenario.charge_handshake_bytes:
+            cost_ab, cost_ba = sum(map(len, frames_ab)), sum(map(len, frames_ba))
         self.active[(c.a, c.b)] = (ok, cost_ab, cost_ba)
-        self._line(c.start, "contact_start", c.a, c.b, None)
-        self._line(c.start, "hs_ok" if ok else "hs_fail", c.a, c.b, None)
+        events = self.events
+        if events is not None:
+            events.append((c.start, "contact_start", c.a, c.b, None))
+            events += [(c.start, "frame", c.a, c.b, f) for f in frames_ab]
+            events += [(c.start, "frame", c.b, c.a, f) for f in frames_ba]
+            events.append((c.start, "hs_ok" if ok else "hs_fail", c.a, c.b, None))
 
     def _on_contact_end(self, c: ContactEvent) -> None:
         ra, rb = self.routers[c.a], self.routers[c.b]
         ok, cost_ab, cost_ba = self.active.pop((c.a, c.b))
-        self._line(c.end, "contact_end", c.a, c.b, None)
+        self._emit(c.end, "contact_end", c.a, c.b, None)
         if ok:
             now = c.end
             if self.scenario.antipacket_mode == "gossip" and ra.gossips_antipackets:
                 dropped_a, dropped_b = ra.exchange_antipackets(rb)
                 for node, dropped in ((c.a, dropped_a), (c.b, dropped_b)):
                     for v in dropped:
-                        self.ledger.on_copy_gone(v, "antipacket")
-                        self._line(now, "anti", node, None, v.msg_id)
+                        self._gone(now, node, v, "anti")
             rate = min(self.link_rate[c.a], self.link_rate[c.b])
             budget = rate * c.duration / 8.0
-            charge = self.scenario.charge_handshake_bytes
-            self._transfer(ra, rb, budget - (cost_ab if charge else 0), now)
-            self._transfer(rb, ra, budget - (cost_ba if charge else 0), now)
+            self._transfer(ra, rb, budget - cost_ab, now)
+            self._transfer(rb, ra, budget - cost_ba, now)
         ra.end_contact(rb, c)
 
     def _transfer(self, carrier, peer, budget: float, now: float) -> None:
         if budget <= 0:
             return
+        events = self.events
         for m in carrier.schedule_messages(peer, now):
             decision = carrier.decide(peer, m, now)
-            if self.decisions is not None:
-                self.decisions.append((now, carrier.node, peer.node, m.msg_id,
-                                       decision.action.value, decision.reason.value))
+            if events is not None:
+                events.append((now, "decide", carrier.node, peer.node,
+                               (m.msg_id, decision.action, decision.reason)))
             if decision.action is Action.HOLD:
                 continue
             if m.size_bytes > budget:
                 # not enough contact time left: partial transfer, discarded
-                self._line(now, "partial", carrier.node, peer.node, m.msg_id)
+                self._emit(now, "partial", carrier.node, peer.node, m.msg_id)
                 break
             budget -= m.size_bytes
             copy = relay_copy(m)
             self.ledger.on_relay(copy)
-            if self.wire is not None:
+            if events is not None:
                 header = encode_message_header(copy, carrier.header_label(copy))
-                self.wire.record(now, carrier.node, peer.node, "msg_header", header)
-                self.wire.record(now, carrier.node, peer.node, "payload", copy.payload)
+                events.append((now, "frame", carrier.node, peer.node, header))
+                events.append((now, "frame", carrier.node, peer.node, copy.payload))
             if decision.action is Action.DELIVER:
                 first = peer.accept_delivery(copy)
                 self.ledger.on_delivered(copy, first)
-                self._line(now, "deliver" if first else "dup",
+                self._emit(now, "deliver" if first else "dup",
                            carrier.node, peer.node, copy.msg_id)
                 own = carrier.mark_delivered(m.msg_id)
                 if own is not None:
-                    self.ledger.on_copy_gone(own, "handoff")
-                    self._line(now, "handoff", carrier.node, None, m.msg_id)
+                    self._gone(now, carrier.node, own, "handoff")
                 if first and self.scenario.antipacket_mode == "instant":
                     self._instant_discard(copy.msg_id, now)
             else:
                 admitted, evicted, purged = peer.admit(copy, now)
                 self._account_buffer_fallout(now, peer.node, evicted, purged)
                 if admitted:
-                    self._line(now, "relay", carrier.node, peer.node, copy.msg_id)
+                    self._emit(now, "relay", carrier.node, peer.node, copy.msg_id)
                     if self.scenario.forward_and_delete:
                         carrier.drop_copy(m.msg_id)
                     else:
@@ -193,39 +209,33 @@ class ReplayEngine:
         for node, router in self.routers.items():
             v = router.mark_delivered(msg_id)
             if v is not None:
-                self.ledger.on_copy_gone(v, "antipacket")
-                self._line(now, "anti", node, None, msg_id)
+                self._gone(now, node, v, "anti")
 
     # -- main loop -------------------------------------------------------------
 
     def run(self, axis: str = "none", axis_value: float = 0.0) -> MetricsReport:
         contacts, plan = self.trace.contacts, self.trace.plan
-        events = ([(c.start, 0, c) for c in contacts] + [(p.t, 1, p) for p in plan]
-                  + [(c.end, 2, c) for c in contacts])
-        events.sort(key=lambda e: (e[0], e[1]))   # stable: ties keep list order
+        queue = ([(c.start, 0, c) for c in contacts] + [(p.t, 1, p) for p in plan]
+                 + [(c.end, 2, c) for c in contacts])
+        queue.sort(key=lambda e: (e[0], e[1]))   # stable: ties keep list order
         handlers = (self._on_contact_start, self._on_create, self._on_contact_end)
-        for _, kind, payload in events:
+        for _, kind, payload in queue:
             handlers[kind](payload)
         end = self.trace.duration
         for node, router in self.routers.items():
             for v in router.pop_expired(end):
-                self.ledger.on_copy_gone(v, "expired")
-                self._line(end, "expire", node, None, v.msg_id)
+                self._gone(end, node, v, "expire")
         return self.ledger.finalize(self.scenario.router, self.scenario.seed,
                                     axis, axis_value)
 
 
-def run(scenario: Scenario, *, wire: WireLog | None = None,
-        decisions: DecisionLog | None = None,
-        trace_lines: list[str] | None = None,
+def run(scenario: Scenario, *, events: list[Event] | None = None,
         trace: ContactTrace | None = None,
         axis: str = "none", axis_value: float = 0.0) -> MetricsReport:
     """Build (or reuse) the trace for a scenario and replay it."""
     if trace is None:
         trace = build_trace(scenario)
-    engine = ReplayEngine(scenario, trace, wire=wire, decisions=decisions,
-                          trace_lines=trace_lines)
-    return engine.run(axis=axis, axis_value=axis_value)
+    return ReplayEngine(scenario, trace, events).run(axis=axis, axis_value=axis_value)
 
 
 SWEEP_AXES = ("buffer", "ttl", "time")
@@ -255,10 +265,11 @@ def _sweep_one_seed(args) -> list[tuple[MetricsReport, list[str] | None]]:
         if trace is None or axis == "time":
             trace = build_trace(sc)
         for router in routers:
-            lines = [] if want_lines else None
-            out.append((run(sc.with_overrides(router=router), trace=trace,
-                            trace_lines=lines, axis=axis, axis_value=value),
-                        lines))
+            events = [] if want_lines else None
+            rep = run(sc.with_overrides(router=router), trace=trace,
+                      events=events, axis=axis, axis_value=value)
+            # text only: frame bytes stay in this process
+            out.append((rep, None if events is None else format_trace(events)))
     return out
 
 

@@ -97,11 +97,11 @@ class MetricsLedger:
     def on_copy_gone(self, m: Message, cause: str) -> None:
         self.copies[m.msg_id] = self.copies.get(m.msg_id, 0) - 1
         self.last_death[m.msg_id] = cause
-        if cause == "evicted":
+        if cause == "evict":
             self.drop_events += 1
-        elif cause == "expired":
+        elif cause == "expire":
             self.expiry_events += 1
-        elif cause == "antipacket":
+        elif cause == "anti":
             self.antipacket_drops += 1
         elif cause != "handoff":   # handoff: copy left with the destination
             raise ValueError(f"unknown copy death cause {cause!r}")
@@ -126,7 +126,7 @@ class MetricsLedger:
                 rejected += 1
             elif self.copies.get(mid, 0) > 0:
                 buffered += 1
-            elif self.last_death.get(mid) == "expired":
+            elif self.last_death.get(mid) == "expire":
                 expired += 1
             else:
                 dropped += 1

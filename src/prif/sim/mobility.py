@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-
 
 @dataclass
 class LegArrays:
@@ -87,16 +85,6 @@ def build_itineraries(area: tuple[float, float],
                      y0=np.asarray(cols["y0"]), x1=np.asarray(cols["x1"]),
                      y1=np.asarray(cols["y1"]), vx=np.asarray(cols["vx"]),
                      vy=np.asarray(cols["vy"]), tarr=np.asarray(cols["tarr"]))
-
-
-def positions_at(legs: LegArrays, times: np.ndarray | float) -> np.ndarray:
-    """Positions of every node at the given time(s): (T, N, 2) or (N, 2)."""
-    scalar = np.isscalar(times)
-    ticks = np.atleast_1d(np.asarray(times, dtype=np.float64))
-    out = kernels.positions(legs.leg_off, legs.t0, legs.x0, legs.y0,
-                            legs.x1, legs.y1, legs.vx, legs.vy,
-                            legs.tarr, ticks)
-    return out[0] if scalar else out
 
 
 def min_range_matrix(radio_range: np.ndarray) -> np.ndarray:

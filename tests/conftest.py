@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from prif.energy import EnergyParams, InterEnergyRecord, IntraEnergyRecord
@@ -31,6 +33,11 @@ def set_intra(router, community, value, now):
     router.energy.intra[community] = IntraEnergyRecord(
         community=community, value=value, prev_value=value,
         cumulative_count=1, first_encounter=now, last_aged_at=now)
+
+
+def random_nonce(rng: random.Random) -> bytes:
+    """A 12-byte sealing nonce drawn from ``rng``."""
+    return rng.getrandbits(96).to_bytes(12, "big")
 
 
 def link_sessions(a, b):

@@ -4,11 +4,14 @@ These deliberately re-derive the update recurrences from scratch (explicit
 scalar loops over event scripts) instead of reusing any table machinery, so
 they can catch bookkeeping mistakes in the incremental implementations.
 The all-pairs contact scan is the reference the culled kernel must match.
+``positions_at`` samples leg arrays at arbitrary times for kernel tests.
 """
 
 import math
 
 import numpy as np
+
+from prif.sim import kernels
 
 
 def inter_script_oracle(contacts, alpha, gamma, window, read_time):
@@ -119,3 +122,13 @@ def all_pairs_transitions(pos, minr2, adj, chunk=64):
         prev = within[-1] if len(within) else prev
     return (np.concatenate(parts_t), np.concatenate(parts_i),
             np.concatenate(parts_j), np.concatenate(parts_k), prev)
+
+
+def positions_at(legs, times):
+    """Positions of every node at the given time(s): (T, N, 2) or (N, 2)."""
+    scalar = np.isscalar(times)
+    ticks = np.atleast_1d(np.asarray(times, dtype=np.float64))
+    out = kernels.positions(legs.leg_off, legs.t0, legs.x0, legs.y0,
+                            legs.x1, legs.y1, legs.vx, legs.vy,
+                            legs.tarr, ticks)
+    return out[0] if scalar else out

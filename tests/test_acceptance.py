@@ -15,7 +15,7 @@ import pytest
 from prif import auth
 from prif.energy import EnergyParams, EnergyTable
 from prif.model import ContactEvent, Message
-from prif.routing import Action, INTEREST_MARKER, WireLog
+from prif.routing import Action, INTEREST_MARKER
 from prif.sim import build_trace, desk_preset, run, run_sweep
 
 from conftest import make_plain_router, set_inter, set_intra
@@ -370,15 +370,16 @@ class TestCriterion7:
     def test_wire_contrast_and_identical_decisions(self, report_line):
         sc = desk_preset(seed=13).with_overrides(duration=8000.0, warmup=500.0)
         trace = build_trace(sc)
-        wire_p, wire_n = WireLog(), WireLog()
-        dec_p, dec_n = [], []
-        run(sc.with_overrides(router="prif"), trace=trace,
-            wire=wire_p, decisions=dec_p)
-        run(sc.with_overrides(router="prif-noprivacy"), trace=trace,
-            wire=wire_n, decisions=dec_n)
-        marker_in_plain = INTEREST_MARKER in wire_n.all_bytes()
-        marker_in_prif = INTEREST_MARKER in wire_p.all_bytes()
-        relays = sum(1 for d in dec_p if d[4] == Action.RELAY.value)
+        wire, decisions = {}, {}
+        for router in ("prif", "prif-noprivacy"):
+            events = []
+            run(sc.with_overrides(router=router), trace=trace, events=events)
+            wire[router] = b"".join(e[4] for e in events if e[1] == "frame")
+            decisions[router] = [e for e in events if e[1] == "decide"]
+        dec_p, dec_n = decisions["prif"], decisions["prif-noprivacy"]
+        marker_in_plain = INTEREST_MARKER in wire["prif-noprivacy"]
+        marker_in_prif = INTEREST_MARKER in wire["prif"]
+        relays = sum(1 for d in dec_p if d[4][1] is Action.RELAY)
         ok = (marker_in_plain and not marker_in_prif
               and dec_p == dec_n and len(dec_p) > 100 and relays > 0)
         report_line(7, ok,

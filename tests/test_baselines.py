@@ -8,7 +8,7 @@ from prif.baselines import (EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter,
                             ProphetState)
 from prif.energy import EnergyParams
 from prif.model import Message
-from prif.routing import Action, WireLog, interest_wire_bytes
+from prif.routing import Action, interest_wire_bytes
 from prif.sim import build_trace, desk_preset, run
 
 from conftest import link_sessions, make_plain_router, set_inter, set_intra
@@ -208,12 +208,10 @@ class TestNoPrivacy:
 
     def test_contact_announces_interest_in_plaintext(self):
         a, b = self._pair(2, 1)
-        wire = WireLog()
-        ok, _, _ = a.begin_contact(b, NOW, random.Random(1), wire)
+        ok, frames_a, frames_b = a.begin_contact(b, NOW, random.Random(1))
         assert ok
-        payloads = [f[4] for f in wire.frames]
-        assert interest_wire_bytes(2) in payloads
-        assert interest_wire_bytes(1) in payloads
+        assert frames_a == (interest_wire_bytes(2),)
+        assert frames_b == (interest_wire_bytes(1),)
 
     def test_no_revocation_layer(self):
         # no credentials are checked at all: contacts always usable
@@ -246,9 +244,9 @@ class TestDominance:
         trace = build_trace(base)
         delivered = {}
         for router in ("epidemic", "prif", "prif-noprivacy", "prophet"):
-            lines = []
-            run(base.with_overrides(router=router), trace=trace, trace_lines=lines)
-            delivered[router] = {line.split()[4] for line in lines
-                                 if line.split()[1] == "deliver"}
+            events = []
+            run(base.with_overrides(router=router), trace=trace, events=events)
+            delivered[router] = {x for _, kind, _, _, x in events
+                                 if kind == "deliver"}
         for router in ("prif", "prif-noprivacy", "prophet"):
             assert delivered[router] <= delivered["epidemic"], router

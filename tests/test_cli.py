@@ -5,7 +5,7 @@ import pytest
 from prif import routing
 from prif.cli import main
 from prif.sim import run, scenario_from_ini
-from prif.sim.engine import TRACE_SCHEMA
+from prif.sim.engine import TRACE_SCHEMA, format_trace
 
 MINI_INI = """\
 [scenario]
@@ -102,9 +102,10 @@ class TestRunCommand:
         base = scenario_from_ini(mini_config)
         for router in ("prif", "epidemic"):
             for seed in (4, 5):
-                lines = []
+                events = []
                 run(base.with_overrides(router=router, seed=seed),
-                    trace_lines=lines)
+                    events=events)
+                lines = format_trace(events)
                 expected = f"# {TRACE_SCHEMA}\n" + "\n".join(lines) + "\n"
                 got = (out / f"trace_{router}_seed{seed}.txt").read_text()
                 assert got == expected

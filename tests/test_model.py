@@ -57,10 +57,3 @@ class TestContactEvent:
     def test_rejects_self_contact(self):
         with pytest.raises(ValueError):
             ContactEvent(2, 2, 0.0, 5.0)
-
-    def test_peer_of(self):
-        c = ContactEvent(1, 5, 0.0, 5.0)
-        assert c.peer_of(1) == 5
-        assert c.peer_of(5) == 1
-        with pytest.raises(ValueError):
-            c.peer_of(9)

@@ -9,11 +9,11 @@ from prif import auth
 from prif.energy import EnergyParams
 from prif.model import ContactEvent, Message
 from prif.routing import (Action, AuthContext, Buffer, ForwardDecision,
-                          PrifRouter, Reason, SealError, WireLog,
-                          encode_message_header, random_nonce, relay_copy,
-                          seal_payload, unseal_payload)
+                          PrifRouter, Reason, SealError, encode_message_header,
+                          relay_copy, seal_payload, unseal_payload)
 
-from conftest import link_sessions, make_plain_router, set_inter, set_intra
+from conftest import (link_sessions, make_plain_router, random_nonce,
+                      set_inter, set_intra)
 from oracles import forwarding_reference
 
 NOW = 1000.0
@@ -456,10 +456,11 @@ class TestContactLifecycle:
 
     def test_wire_capture_has_handshake_frames(self):
         a, b = authed_pair(same_group=True)
-        wire = WireLog()
-        a.begin_contact(b, 100.0, random.Random(1), wire)
-        assert wire.kinds() == {"handshake1", "handshake2"}
-        assert len(wire.frames) == 4
+        ok, frames_a, frames_b = a.begin_contact(b, 100.0, random.Random(1))
+        assert ok
+        for frames in (frames_a, frames_b):
+            assert [f[:1] for f in frames] == [auth.MSG1_TAG, auth.MSG2_TAG]
+        assert frames_a != frames_b
 
 
 class TestHeaderCodec:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,12 +14,14 @@ from prif.routing import PrifRouter
 from prif.sim import (GroupSpec, Scenario, apply_axis, build_trace, desk_preset,
                       paper_preset, run, run_sweep, scenario_from_ini)
 from prif.sim import kernels, mobility, trace
+from prif.sim.engine import TRACE_KINDS, format_trace
 from prif.sim.scenario import ROUTERS
 from prif.sim.trace import assign_interests, build_contacts, build_plan
 
-from oracles import all_pairs_transitions
+from oracles import all_pairs_transitions, positions_at
 
 MB = 1024 * 1024
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def mini_scenario(**kw):
@@ -32,6 +35,13 @@ def mini_scenario(**kw):
                     duration=4000.0, warmup=300.0, buffer_bytes=3 * MB,
                     message_interval=(20.0, 40.0), seed=5)
     return base.with_overrides(**kw)
+
+
+def replay_text(scenario):
+    """Report and rendered text trace of one run."""
+    events = []
+    rep = run(scenario, events=events)
+    return rep, format_trace(events)
 
 
 def stationary_legs(points):
@@ -134,7 +144,7 @@ class TestKernels:
 
     def test_mixed_radio_ranges(self):
         legs = self._random_legs(seed=6)
-        pos = mobility.positions_at(legs, np.arange(0.0, 2000.0, 1.0))
+        pos = positions_at(legs, np.arange(0.0, 2000.0, 1.0))
         # pedestrians, cars and buses: every pair uses the smaller range
         ranges = np.array([10.0] * 4 + [30.0] * 4 + [100.0] * 4)
         minr2 = mobility.min_range_matrix(ranges)
@@ -144,7 +154,7 @@ class TestKernels:
     @pytest.mark.parametrize("chunk", [1, 7, 64, 5000])
     def test_chunk_size_does_not_change_output(self, chunk):
         legs = self._random_legs(seed=4)
-        pos = mobility.positions_at(legs, np.arange(0.0, 1999.0, 1.0))
+        pos = positions_at(legs, np.arange(0.0, 1999.0, 1.0))
         minr2 = mobility.min_range_matrix(np.full(12, 60.0))
         got = assert_same_transitions(pos, minr2, np.zeros((12, 12), bool),
                                       chunk=chunk)
@@ -172,8 +182,8 @@ class TestMobility:
             t0=np.array([0.0]), x0=np.array([0.0]), y0=np.array([0.0]),
             x1=np.array([100.0]), y1=np.array([0.0]),
             vx=np.array([1.0]), vy=np.array([0.0]), tarr=np.array([100.0]))
-        p0 = mobility.positions_at(legs, 10.0)
-        p1 = mobility.positions_at(legs, 40.0)
+        p0 = positions_at(legs, 10.0)
+        p1 = positions_at(legs, 40.0)
         assert math.hypot(*(p1 - p0)[0]) == pytest.approx(30.0)
 
     def test_arrival_clamps_to_waypoint(self):
@@ -182,15 +192,15 @@ class TestMobility:
             t0=np.array([0.0]), x0=np.array([0.0]), y0=np.array([0.0]),
             x1=np.array([10.0]), y1=np.array([0.0]),
             vx=np.array([1.0]), vy=np.array([0.0]), tarr=np.array([10.0]))
-        assert mobility.positions_at(legs, 10.0)[0].tolist() == [10.0, 0.0]
-        assert mobility.positions_at(legs, 500.0)[0].tolist() == [10.0, 0.0]
+        assert positions_at(legs, 10.0)[0].tolist() == [10.0, 0.0]
+        assert positions_at(legs, 500.0)[0].tolist() == [10.0, 0.0]
 
     def test_positions_stay_in_bounds(self):
         n = 15
         legs = mobility.build_itineraries(
             (300.0, 200.0), np.full(n, 1.0), np.full(n, 10.0),
             np.full(n, 5.0), np.full(n, 50.0), 5000.0, seed=8)
-        pos = mobility.positions_at(legs, np.arange(0.0, 5000.0, 7.0))
+        pos = positions_at(legs, np.arange(0.0, 5000.0, 7.0))
         assert pos[..., 0].min() >= 0.0 and pos[..., 0].max() <= 300.0
         assert pos[..., 1].min() >= 0.0 and pos[..., 1].max() <= 200.0
 
@@ -211,7 +221,7 @@ class TestContactThresholds:
     def _active_pairs(self, points, ranges):
         legs = stationary_legs(points)
         minr2 = mobility.min_range_matrix(np.asarray(ranges, dtype=np.float64))
-        pos = mobility.positions_at(legs, np.array([0.0]))
+        pos = positions_at(legs, np.array([0.0]))
         tt, ii, jj, started, adj = kernels.transitions(
             pos, minr2, np.zeros((len(points), len(points)), dtype=bool))
         return {(int(i), int(j)) for i, j, s in zip(ii, jj, started) if s}
@@ -265,8 +275,8 @@ class TestScenario:
         assert all(interests[i] < 2 for i in range(16))
 
     def test_ini_matches_preset(self):
-        assert scenario_from_ini("configs/desk.ini") == desk_preset()
-        assert scenario_from_ini("configs/paper.ini") == paper_preset()
+        assert scenario_from_ini(CONFIGS / "desk.ini") == desk_preset()
+        assert scenario_from_ini(CONFIGS / "paper.ini") == paper_preset()
 
     def test_ini_sets_every_scenario_key(self, tmp_path):
         path = tmp_path / "all.ini"
@@ -455,17 +465,18 @@ class TestRun:
         ("epidemic", EpidemicRouter, False), ("prophet", ProphetRouter, False)])
     def test_gossip_antipackets_only_for_prif_flavours(self, router, cls, gossips):
         assert cls.gossips_antipackets is gossips
-        lines = []
-        run(mini_scenario(router=router), trace_lines=lines)
-        assert any(line.split()[1] == "anti" for line in lines) is gossips
+        events = []
+        run(mini_scenario(router=router), events=events)
+        assert any(e[1] == "anti" for e in events) is gossips
 
     def test_charge_handshake_bytes_runs(self):
         rep = run(mini_scenario(charge_handshake_bytes=True))
         assert rep.created > 0
 
     def test_trace_lines_schema(self):
-        lines = []
-        run(mini_scenario(), trace_lines=lines)
+        events = []
+        run(mini_scenario(), events=events)
+        lines = format_trace(events)
         assert lines
         kinds = set()
         for line in lines:
@@ -473,8 +484,14 @@ class TestRun:
             assert len(parts) == 5
             float(parts[0])
             kinds.add(parts[1])
+        assert kinds <= set(TRACE_KINDS)
         assert "create" in kinds and "contact_start" in kinds
         assert "deliver" in kinds
+        # decisions and frames are in the stream but never in the text
+        stream_kinds = {e[1] for e in events}
+        assert {"decide", "frame"} <= stream_kinds
+        assert not {"decide", "frame"} & kinds
+        assert len(lines) == sum(e[1] in TRACE_KINDS for e in events)
 
 
 # Digests of the report JSON and of the event trace, pinned when the router
@@ -506,20 +523,48 @@ GOLDEN = {
                                          "4c2099fd440c4731fbac15c9e11ae23b90446cc0968bfe3939857fa285484a64"),
     ("forward-and-delete", "prophet"): ("53b7b72c264a4060e1104f918a4f1478cc9cd2a870deba45db166f7a706ea48a",
                                         "179fdda0c2d5099acf9f5510860aa4bf306e50f92af2e699f784986cd1cf05df"),
+    # handshake bytes charged on 2 kbps links with 200-2000-byte messages,
+    # where the charge binds for prif (see test_charge_binds_for_prif)
+    ("charged", "prif"): ("d9c48190de41a61d8257e27b5d42118a67e70c498b50fdb624bda64e7851171f",
+                          "0d0132519d2b7e6bec8821b9bfe3bbb76eeca469b8e0aab02d22ec01675242ca"),
+    ("charged", "prif-noprivacy"): ("9f8a9dbac69261e890f00e3545c248b604a3f36ca3af73d41cbf7d873c0c24ce",
+                                    "8c8d78c7399caaaf19a391ed7552d2c2afbbc27da0d9fd86c3f02c9034f00178"),
+    ("charged", "epidemic"): ("7359deff817187f39cf21c603ccd4b6c1fcc0d2f54b1e9982cf6850216b6a49e",
+                              "07efdc3ef6a23e135b10e364f6eb7f6b54e35a95380a4c309e13d87d41baacd3"),
+    ("charged", "prophet"): ("3210e4dd5ad0ecc4176f8476f49338d5c1de3d086181171b507e637dcd66c351",
+                             "48bc38561b7bda6f8b79af075115faa5178b210ed61aecf4023700dfb15c83c9"),
 }
+
+
+def slow_link_scenario(**kw):
+    """The mini scenario on 2 kbps links with 200-2000-byte messages."""
+    base = mini_scenario(message_size=(200, 2000), **kw)
+    return base.with_overrides(groups=tuple(
+        replace(g, link_rate_bps=2000.0) for g in base.groups))
+
+
+def digests(scenario):
+    rep, lines = replay_text(scenario)
+    report = json.dumps(rep.to_dict(), sort_keys=True).encode()
+    return (hashlib.sha256(report).hexdigest(),
+            hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
 class TestGoldenDigest:
     @pytest.mark.parametrize("mode,router", sorted(GOLDEN))
     def test_report_and_trace_unchanged(self, mode, router):
-        kw = ({"forward_and_delete": True} if mode == "forward-and-delete"
-              else {"antipacket_mode": mode})
-        lines = []
-        rep = run(mini_scenario(router=router, **kw), trace_lines=lines)
-        report = json.dumps(rep.to_dict(), sort_keys=True).encode()
-        got = (hashlib.sha256(report).hexdigest(),
-               hashlib.sha256("\n".join(lines).encode()).hexdigest())
-        assert got == GOLDEN[(mode, router)]
+        if mode == "charged":
+            sc = slow_link_scenario(router=router, charge_handshake_bytes=True)
+        elif mode == "forward-and-delete":
+            sc = mini_scenario(router=router, forward_and_delete=True)
+        else:
+            sc = mini_scenario(router=router, antipacket_mode=mode)
+        assert digests(sc) == GOLDEN[(mode, router)]
+
+    def test_charge_binds_for_prif(self):
+        # uncharged, the same slow-link run relays fewer copies (604 vs 610)
+        assert (digests(slow_link_scenario(router="prif"))[0]
+                != GOLDEN[("charged", "prif")][0])
 
 
 def read_all_state(router, now):
@@ -543,8 +588,7 @@ class TestReadsAreUnobservable:
     def test_extra_reads_leave_report_and_trace_unchanged(self, monkeypatch,
                                                          router, cls):
         def replay():
-            lines = []
-            rep = run(mini_scenario(router=router), trace_lines=lines)
+            rep, lines = replay_text(mini_scenario(router=router))
             return json.dumps(rep.to_dict(), sort_keys=True).encode(), lines
 
         plain = replay()
