@@ -37,24 +37,17 @@ class NoPrivacyPrifRouter(PrifRouter):
 
     def __init__(self, node: NodeId, interest: int, energy_params: EnergyParams,
                  capacity_bytes: int) -> None:
-        super().__init__(node, interest, gid=f"plain-{interest}", cert=None,
-                         auth_ctx=None, energy_params=energy_params,
-                         capacity_bytes=capacity_bytes)
-        self.community = interest
-        self.energy.owner_community = interest
-
-    def dest_label(self, m: Message):
-        return m.dest_interest
+        super().__init__(node, interest, None, None, energy_params, capacity_bytes)
 
     def header_label(self, m: Message) -> bytes:
-        return interest_wire_bytes(m.dest_interest)
+        return interest_wire_bytes(m.dest_community)
 
     def begin_contact(self, other: "NoPrivacyPrifRouter", now: SimTime,
                       rng: random.Random) -> tuple[bool, Frames, Frames]:
-        self.sessions[other.node] = other.interest
-        other.sessions[self.node] = self.interest
-        return (True, (interest_wire_bytes(self.interest),),
-                (interest_wire_bytes(other.interest),))
+        self.sessions[other.node] = other.community
+        other.sessions[self.node] = self.community
+        return (True, (interest_wire_bytes(self.community),),
+                (interest_wire_bytes(other.community),))
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +61,6 @@ class EpidemicRouter(Router):
 
     def begin_contact(self, other: "EpidemicRouter", now: SimTime,
                       rng: random.Random) -> tuple[bool, Frames, Frames]:
-        self.sessions[other.node] = True
-        other.sessions[self.node] = True
         return True, (), ()
 
     def decide(self, peer: "EpidemicRouter", m: Message, now: SimTime) -> ForwardDecision:
@@ -130,10 +121,10 @@ class ProphetRouter(Router):
 
     kind = "prophet"
 
-    def __init__(self, node: NodeId, interest: int, capacity_bytes: int,
+    def __init__(self, node: NodeId, community: int, capacity_bytes: int,
                  p_init: float = 0.75, beta_transitive: float = 0.25,
                  gamma_age: float = 0.98, window: float = 30.0) -> None:
-        super().__init__(node, interest, capacity_bytes)
+        super().__init__(node, community, capacity_bytes)
         self.state = ProphetState(owner=node, p_init=p_init,
                                   beta_transitive=beta_transitive,
                                   gamma_age=gamma_age, window=window)
@@ -151,12 +142,11 @@ class ProphetRouter(Router):
         other.state.age(now)
         self.state.encounter(other.node)
         other.state.encounter(self.node)
-        vec_self = sorted(self.state.p.items())
-        vec_other = sorted(other.state.p.items())
+        # snapshots: each side folds the other's vector from before the fold
+        vec_self = list(self.state.p.items())
+        vec_other = list(other.state.p.items())
         self.state.transitive(other.node, vec_other)
         other.state.transitive(self.node, vec_self)
-        self.sessions[other.node] = True
-        other.sessions[self.node] = True
         return True, (), ()
 
     def decide(self, peer: "ProphetRouter", m: Message, now: SimTime) -> ForwardDecision:

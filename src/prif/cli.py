@@ -18,7 +18,7 @@ import click
 from . import auth, routing
 from .sim.engine import SWEEP_AXES, TRACE_SCHEMA, run_sweep
 from .sim.metrics import MetricsReport
-from .sim.scenario import PRESETS, ROUTERS, desk_preset, scenario_from_ini
+from .sim.scenario import PRESETS, ROUTERS, scenario_from_ini
 
 PLOT_METRICS = ("delivery_ratio", "overhead_ratio", "avg_hop_count")
 
@@ -64,12 +64,8 @@ def _parse_list(text: str, conv):
 def cmd_run(config_path, preset, routers_opt, axis, values, seeds, out_dir,
             formats, jobs, want_trace) -> None:
     """Execute runs or sweeps and write reports."""
-    if config_path is not None:
-        scenario = scenario_from_ini(config_path)
-    elif preset is not None:
-        scenario = PRESETS[preset]()
-    else:
-        scenario = desk_preset()
+    scenario = (scenario_from_ini(config_path) if config_path is not None
+                else PRESETS[preset or "desk"]())
 
     routers = (_parse_list(routers_opt, str) if routers_opt
                else [scenario.router])

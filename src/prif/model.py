@@ -8,9 +8,9 @@ exactly to seconds wherever they are compared against ages.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Hashable
 
 NodeId = int
-InterestId = int
 SimTime = float
 
 SECONDS_PER_MINUTE = 60.0
@@ -21,17 +21,16 @@ class Message:
     """A routable store-carry-forward unit.
 
     ``size_bytes`` drives all buffer and bandwidth accounting; ``payload`` is
-    a sealed opaque token readable only by the destination.  ``dest_gid`` is
-    the opaque group label of the destination's community, the only community
-    naming that ever appears on the wire; ``dest_interest`` is the plaintext
-    community number, kept for scenario bookkeeping and the no-privacy router.
+    a sealed opaque token readable only by the destination.  ``dest_community``
+    is the destination router's community label: its opaque group id under
+    ``prif``, so the interest never travels, and its plain interest number
+    under ``prif-noprivacy``; epidemic and PRoPHET ignore it.
     """
 
     msg_id: int
     source: NodeId
     destination: NodeId
-    dest_interest: InterestId
-    dest_gid: str
+    dest_community: Hashable
     size_bytes: int
     created_at: SimTime
     ttl_min: float

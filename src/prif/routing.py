@@ -9,11 +9,11 @@ A carrier meeting a peer classifies every buffered message by community:
 * both outside: relay only to a strictly stronger intra energy toward the
   destination community.
 
-Community labels on this router are opaque group ids learned through the
-authenticated handshake, so a node outside a community can route toward it
-without ever learning what the community's interest is.  The plaintext
-variant in ``baselines`` shares this decision surface with interest numbers
-as labels.
+Each router carries one community label, ``community``, and each message
+its destination's, ``dest_community``.  Here the labels are opaque group ids
+verified through the authenticated handshake, so a node outside a community
+can route toward it without ever learning its interest.  The plaintext
+variant in ``baselines`` shares this decision surface with interest labels.
 
 Transmission order puts destination-community messages first (strong inter
 energy first, newer first on ties); eviction discards in exactly the reverse
@@ -136,9 +136,6 @@ class Buffer:
         self._msgs: dict[int, Message] = {}
         self._used = 0
 
-    def __len__(self) -> int:
-        return len(self._msgs)
-
     def __contains__(self, msg_id: int) -> bool:
         return msg_id in self._msgs
 
@@ -188,9 +185,10 @@ class AuthContext:
 class Router:
     """Per-node state and the contact-time logic every flavour shares.
 
-    A flavour supplies its contact setup ``begin_contact(other, now, rng)
-    -> (usable, frames sent by self, frames sent by other)``, its
-    forwarding decision ``decide(peer, m, now)`` and its transmission order
+    ``community`` is the node's one community label.  A flavour supplies
+    its contact setup ``begin_contact(other, now, rng) -> (usable, frames
+    sent by self, frames sent by other)``, its forwarding decision
+    ``decide(peer, m, now)`` and its transmission order
     ``_schedule_key(m, peer, now)``; the default eviction order drops the
     oldest copy first.  The setup frames are what the link budget is charged.
     """
@@ -198,13 +196,11 @@ class Router:
     gossips_antipackets = False
     cert: Optional[auth.Certificate] = None
 
-    def __init__(self, node: NodeId, interest: int, capacity_bytes: int) -> None:
+    def __init__(self, node: NodeId, community: Hashable, capacity_bytes: int) -> None:
         self.node = node
-        self.interest = interest
-        self.community: Hashable = interest
+        self.community = community
         self.buffer = Buffer(capacity_bytes)
         self.delivered_ids: set[int] = set()
-        self.sessions: dict[NodeId, Hashable] = {}
 
     def pseudo_identity(self) -> str:
         return self.cert.id if self.cert is not None else f"node-{self.node}"
@@ -215,20 +211,16 @@ class Router:
     # -- contact lifecycle ----------------------------------------------------
 
     def end_contact(self, other: "Router", contact: ContactEvent) -> None:
-        self.sessions.pop(other.node, None)
-        other.sessions.pop(self.node, None)
+        """Nothing to update or tear down unless a flavour says otherwise."""
 
     # -- scheduling and eviction -------------------------------------------------
-
-    def _eviction_key(self, m: Message, now: SimTime):
-        return (m.created_at, m.msg_id)
 
     def schedule_order(self, msgs: Iterable[Message], now: SimTime,
                        peer: Optional["Router"] = None) -> list[Message]:
         return sorted(msgs, key=lambda m: self._schedule_key(m, peer, now))
 
     def eviction_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
-        return sorted(msgs, key=lambda m: self._eviction_key(m, now))
+        return sorted(msgs, key=lambda m: (m.created_at, m.msg_id))
 
     def schedule_messages(self, peer: "Router", now: SimTime) -> list[Message]:
         """Outbound plan for one contact: drop dead copies, skip what the
@@ -304,23 +296,17 @@ class PrifRouter(Router):
     kind = "prif"
     gossips_antipackets = True
 
-    def __init__(self, node: NodeId, interest: int, gid: str,
+    def __init__(self, node: NodeId, community: Hashable,
                  cert: Optional[auth.Certificate], auth_ctx: Optional[AuthContext],
                  energy_params: EnergyParams, capacity_bytes: int) -> None:
-        super().__init__(node, interest, capacity_bytes)
-        self.gid = gid
+        super().__init__(node, community, capacity_bytes)
         self.cert = cert
         self.auth_ctx = auth_ctx
-        self.community = gid
-        self.energy = EnergyTable(node, self.community, energy_params)
-
-    # -- community labelling ------------------------------------------------
-
-    def dest_label(self, m: Message) -> Hashable:
-        return m.dest_gid
+        self.sessions: dict[NodeId, Hashable] = {}
+        self.energy = EnergyTable(node, community, energy_params)
 
     def header_label(self, m: Message) -> bytes:
-        return m.dest_gid.encode()
+        return m.dest_community.encode()
 
     # -- contact lifecycle ----------------------------------------------------
 
@@ -333,7 +319,7 @@ class PrifRouter(Router):
         """
         ctx = self.auth_ctx
         transcript = auth.run_mutual_handshake(
-            self.cert, self.gid, other.cert, other.gid,
+            self.cert, self.community, other.cert, other.community,
             ctx.rl, ctx.directory, ctx.params, rng)
         w1i, w1j, w2i, w2j = transcript["wire"]
         if transcript["mutual"]:
@@ -370,7 +356,7 @@ class PrifRouter(Router):
         """Community-energy forwarding decision for one live message."""
         if peer.node == m.destination:
             return ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
-        dest_c = self.dest_label(m)
+        dest_c = m.dest_community
         peer_c = self.sessions[peer.node]
         if self.community == dest_c:
             if (peer_c == dest_c
@@ -390,20 +376,16 @@ class PrifRouter(Router):
     def _schedule_key(self, m: Message, peer: Optional[Router], now: SimTime):
         """Destination-community class first, strong energy first, newer
         first on equal energy; the peer plays no part."""
-        if self.community == self.dest_label(m):
+        if self.community == m.dest_community:
             return (0, -self.energy.effective_inter(m.destination, now),
                     -m.created_at, m.msg_id)
-        return (1, -self.energy.effective_intra(self.dest_label(m), now),
+        return (1, -self.energy.effective_intra(m.dest_community, now),
                 -m.created_at, m.msg_id)
 
-    def _eviction_key(self, m: Message, now: SimTime):
-        """By construction exactly the reverse of the schedule order on the
-        same snapshot (tested both ways)."""
-        if self.community == self.dest_label(m):
-            return (1, self.energy.effective_inter(m.destination, now),
-                    m.created_at, -m.msg_id)
-        return (0, self.energy.effective_intra(self.dest_label(m), now),
-                m.created_at, -m.msg_id)
+    def eviction_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
+        """The schedule order reversed; every key ends in the unique msg_id,
+        so no two keys tie and the reversal is exact."""
+        return self.schedule_order(msgs, now)[::-1]
 
 
 def relay_copy(m: Message) -> Message:
@@ -411,6 +393,6 @@ def relay_copy(m: Message) -> Message:
 
     Built field by field, in about half the time ``dataclasses.replace``
     takes; it runs at every transfer."""
-    return Message(m.msg_id, m.source, m.destination, m.dest_interest,
-                   m.dest_gid, m.size_bytes, m.created_at, m.ttl_min,
-                   m.hop_count + 1, m.payload)
+    return Message(m.msg_id, m.source, m.destination, m.dest_community,
+                   m.size_bytes, m.created_at, m.ttl_min, m.hop_count + 1,
+                   m.payload)

@@ -59,8 +59,6 @@ class ReplayEngine:
         self.events = events
         self.ledger = MetricsLedger()
         self.crypto_rng = random.Random(stream_seed(scenario.seed, _STREAM_CRYPTO))
-        self.ta: auth.TrustAuthority | None = None
-        self.gid_of_interest: dict[int, str] = {}
         self.routers = self._build_routers()
         self.active: dict[tuple[int, int], tuple[bool, int, int]] = {}
         self.link_rate = scenario.per_node("link_rate_bps")
@@ -72,15 +70,13 @@ class ReplayEngine:
         interests = [int(i) for i in self.trace.interests]
         if sc.router == "prif":
             params = auth.TOY_PARAMS if sc.crypto == "toy" else auth.DEFAULT_PARAMS_2048
-            self.ta = auth.TrustAuthority(params, self.crypto_rng)
-            for idx in range(max(interests) + 1):
-                self.gid_of_interest[idx] = self.ta.create_group().gid
-            ctx = AuthContext(params, self.ta.rl, self.ta.directory())
+            ta = auth.TrustAuthority(params, self.crypto_rng)
+            gids = [ta.create_group().gid for _ in range(max(interests) + 1)]
+            ctx = AuthContext(params, ta.rl, ta.directory())
         make = {
             "prif": lambda node, i: PrifRouter(
-                node, i, self.gid_of_interest[i],
-                self.ta.register(self.gid_of_interest[i]), ctx,
-                sc.energy, sc.buffer_bytes),
+                node, gids[i], ta.register(gids[i]), ctx, sc.energy,
+                sc.buffer_bytes),
             "prif-noprivacy": lambda node, i: NoPrivacyPrifRouter(
                 node, i, sc.energy, sc.buffer_bytes),
             "epidemic": lambda node, i: EpidemicRouter(node, i, sc.buffer_bytes),
@@ -107,11 +103,9 @@ class ReplayEngine:
         sc = self.scenario
         p = plan_entry
         dest_router = self.routers[p.destination]
-        dest_interest = int(self.trace.interests[p.destination])
         sealed = seal_payload(p.token, dest_router.pseudo_identity(), p.nonce)
         m = Message(msg_id=p.msg_id, source=p.source, destination=p.destination,
-                    dest_interest=dest_interest,
-                    dest_gid=self.gid_of_interest.get(dest_interest, ""),
+                    dest_community=dest_router.community,
                     size_bytes=p.size_bytes, created_at=p.t, ttl_min=sc.ttl_min,
                     hop_count=0, payload=sealed)
         self.ledger.on_create(m)

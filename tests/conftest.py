@@ -13,12 +13,9 @@ def energy_params():
 
 def make_plain_router(node, community, capacity=10_000_000, params=None):
     """Router with injectable state and no crypto, for decision-layer tests."""
-    r = PrifRouter(node=node, interest=0, gid=str(community), cert=None,
-                   auth_ctx=None, energy_params=params or EnergyParams(),
-                   capacity_bytes=capacity)
-    r.community = community
-    r.energy.owner_community = community
-    return r
+    return PrifRouter(node=node, community=community, cert=None, auth_ctx=None,
+                      energy_params=params or EnergyParams(),
+                      capacity_bytes=capacity)
 
 
 def set_inter(router, peer, value, now):

@@ -209,7 +209,6 @@ class TestCriterion3:
         comms = ["C0", "C1", "C2"]
         grid = [0.0, 0.1, 0.25, 0.25, 0.5, 0.5, 0.9]
         now = 1000.0
-        carrier = make_plain_router(0, "C0")
         dest = 9
         mismatches = 0
         n = 100_000
@@ -219,8 +218,7 @@ class TestCriterion3:
             dest_comm = rng.choice(comms)
             peer_is_dest = rng.random() < 0.12
             peer = make_plain_router(dest if peer_is_dest else 1, peer_comm)
-            carrier.community = carrier_comm
-            carrier.energy.owner_community = carrier_comm
+            carrier = make_plain_router(0, carrier_comm)
             carrier.sessions = {peer.node: peer_comm}
             ei_c, ei_p = rng.choice(grid), rng.choice(grid)
             ec_c, ec_p = rng.choice(grid), rng.choice(grid)
@@ -228,8 +226,8 @@ class TestCriterion3:
             set_inter(peer, dest, ei_p, now)
             set_intra(carrier, dest_comm, ec_c, now)
             set_intra(peer, dest_comm, ec_p, now)
-            m = Message(msg_id=1, source=0, destination=dest, dest_interest=0,
-                        dest_gid=dest_comm, size_bytes=10, created_at=0.0,
+            m = Message(msg_id=1, source=0, destination=dest,
+                        dest_community=dest_comm, size_bytes=10, created_at=0.0,
                         ttl_min=600.0, payload=b"x")
             got = carrier.decide(peer, m, now).action.value
             want = forwarding_reference(peer_is_dest, carrier_comm, peer_comm,
@@ -260,8 +258,7 @@ class TestCriterion4:
                 m = Message(
                     msg_id=seq * 100 + i, source=0,
                     destination=rng.choice([7, 8]),
-                    dest_interest=0,
-                    dest_gid=rng.choice(["D", "B1", "B2"]),
+                    dest_community=rng.choice(["D", "B1", "B2"]),
                     size_bytes=rng.randint(1, capacity + 50),
                     created_at=float(rng.randint(0, 900)),
                     ttl_min=600.0, payload=b"x")
@@ -286,6 +283,7 @@ def _welch_se(xs, ys):
                      + statistics.variance(ys) / len(ys))
 
 
+@pytest.mark.slow
 class TestCriterion5:
     def test_buffer_sweep_ordering_with_margin(self, report_line):
         t0 = time.time()
@@ -328,6 +326,7 @@ class TestCriterion5:
 # 6. TTL trend
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 class TestCriterion6:
     def test_ttl_sweep_epidemic_non_increasing(self, report_line):
         seeds = list(range(1, 11))

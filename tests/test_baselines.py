@@ -16,12 +16,11 @@ from conftest import link_sessions, make_plain_router, set_inter, set_intra
 NOW = 500.0
 
 
-def msg(msg_id=1, source=0, destination=9, dest_gid="D", dest_interest=3,
+def msg(msg_id=1, source=0, destination=9, dest_community=3,
         size=100, created_at=0.0, ttl_min=600.0, payload=b"p"):
     return Message(msg_id=msg_id, source=source, destination=destination,
-                   dest_interest=dest_interest, dest_gid=dest_gid,
-                   size_bytes=size, created_at=created_at, ttl_min=ttl_min,
-                   payload=payload)
+                   dest_community=dest_community, size_bytes=size,
+                   created_at=created_at, ttl_min=ttl_min, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ class TestNoPrivacy:
             set_inter(b, 9, rng.choice([0.0, 0.2, 0.2, 0.7]), NOW)
             set_intra(a, idest, rng.choice([0.0, 0.1, 0.1, 0.5]), NOW)
             set_intra(b, idest, rng.choice([0.0, 0.1, 0.1, 0.5]), NOW)
-            m = msg(destination=9, dest_interest=idest, dest_gid=str(idest))
+            m = msg(destination=9, dest_community=idest)
             got = a.decide(b, m, NOW).action.value
 
             pa = make_plain_router(0, ia)
@@ -202,8 +201,8 @@ class TestNoPrivacy:
             set_inter(pb, 9, b.energy.inter[9].value, NOW)
             set_intra(pa, idest, a.energy.intra[idest].value, NOW)
             set_intra(pb, idest, b.energy.intra[idest].value, NOW)
-            want = pa.decide(pb, msg(destination=9, dest_interest=idest,
-                                     dest_gid=idest), NOW).action.value
+            want = pa.decide(pb, msg(destination=9, dest_community=idest),
+                             NOW).action.value
             assert got == want
 
     def test_contact_announces_interest_in_plaintext(self):

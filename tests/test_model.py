@@ -4,8 +4,8 @@ from prif.model import ContactEvent, Message, message_is_expired
 
 
 def make_msg(**kw):
-    base = dict(msg_id=1, source=0, destination=1, dest_interest=0,
-                dest_gid="G0", size_bytes=1000, created_at=0.0,
+    base = dict(msg_id=1, source=0, destination=1, dest_community="G0",
+                size_bytes=1000, created_at=0.0,
                 ttl_min=600.0, hop_count=0, payload=b"x")
     base.update(kw)
     return Message(**base)

@@ -19,11 +19,11 @@ from oracles import forwarding_reference
 NOW = 1000.0
 
 
-def msg(msg_id=1, source=0, destination=9, dest_gid="D", dest_interest=0,
+def msg(msg_id=1, source=0, destination=9, dest_community="D",
         size=100, created_at=0.0, ttl_min=600.0, hop_count=0, payload=b"p"):
     return Message(msg_id=msg_id, source=source, destination=destination,
-                   dest_interest=dest_interest, dest_gid=dest_gid,
-                   size_bytes=size, created_at=created_at, ttl_min=ttl_min,
+                   dest_community=dest_community, size_bytes=size,
+                   created_at=created_at, ttl_min=ttl_min,
                    hop_count=hop_count, payload=payload)
 
 
@@ -110,7 +110,7 @@ class TestDecide:
             set_inter(peer, 9, ei_p, NOW)
             set_intra(carrier, dest_comm, ec_c, NOW)
             set_intra(peer, dest_comm, ec_p, NOW)
-            m = msg(destination=9, dest_gid=dest_comm)
+            m = msg(destination=9, dest_community=dest_comm)
             got = carrier.decide(peer, m, NOW).action.value
             want = forwarding_reference(
                 peer.node == 9, carrier.community, peer.community, dest_comm,
@@ -131,7 +131,7 @@ class TestDecide:
             set_inter(peer, 9, rng.random(), NOW)
             set_intra(carrier, "D", rng.random(), NOW)
             set_intra(peer, "D", rng.random(), NOW)
-            d = carrier.decide(peer, msg(destination=9, dest_gid="D"), NOW)
+            d = carrier.decide(peer, msg(destination=9, dest_community="D"), NOW)
             if d.reason is Reason.SAME_COMMUNITY_HIGHER_INTER:
                 assert (peer.energy.effective_inter(9, NOW)
                         > carrier.energy.effective_inter(9, NOW))
@@ -157,29 +157,29 @@ class TestScheduling:
         c = make_plain_router(0, "D", capacity=1000)
         set_inter(c, 7, 0.2, NOW)
         set_intra(c, "B", 9.9, NOW)
-        inside = msg(msg_id=1, destination=7, dest_gid="D")
-        outside = msg(msg_id=2, destination=8, dest_gid="B")
+        inside = msg(msg_id=1, destination=7, dest_community="D")
+        outside = msg(msg_id=2, destination=8, dest_community="B")
         order = c.schedule_order([outside, inside], NOW)
         assert [m.msg_id for m in order] == [1, 2]
 
     def test_newer_first_on_equal_inter(self):
         c = self._carrier()
-        older = msg(msg_id=1, destination=7, dest_gid="D", created_at=10.0)
-        newer = msg(msg_id=2, destination=8, dest_gid="D", created_at=20.0)
+        older = msg(msg_id=1, destination=7, dest_community="D", created_at=10.0)
+        newer = msg(msg_id=2, destination=8, dest_community="D", created_at=20.0)
         order = c.schedule_order([older, newer], NOW)
         assert [m.msg_id for m in order] == [2, 1]
 
     def test_descending_intra_for_outside_class(self):
         c = self._carrier()
-        low = msg(msg_id=1, destination=5, dest_gid="B2")
-        high = msg(msg_id=2, destination=6, dest_gid="B1")
+        low = msg(msg_id=1, destination=5, dest_community="B2")
+        high = msg(msg_id=2, destination=6, dest_community="B1")
         order = c.schedule_order([low, high], NOW)
         assert [m.msg_id for m in order] == [2, 1]
 
     def test_msg_id_final_tiebreak(self):
         c = self._carrier()
-        m1 = msg(msg_id=3, destination=7, dest_gid="D", created_at=10.0)
-        m2 = msg(msg_id=4, destination=8, dest_gid="D", created_at=10.0)
+        m1 = msg(msg_id=3, destination=7, dest_community="D", created_at=10.0)
+        m2 = msg(msg_id=4, destination=8, dest_community="D", created_at=10.0)
         order = c.schedule_order([m2, m1], NOW)
         assert [m.msg_id for m in order] == [3, 4]
 
@@ -187,9 +187,9 @@ class TestScheduling:
         c = self._carrier()
         peer = make_plain_router(1, "D")
         link_sessions(c, peer)
-        live = msg(msg_id=1, destination=7, dest_gid="D", created_at=NOW - 10)
-        held = msg(msg_id=2, destination=7, dest_gid="D", created_at=NOW - 10)
-        dead = msg(msg_id=3, destination=7, dest_gid="D",
+        live = msg(msg_id=1, destination=7, dest_community="D", created_at=NOW - 10)
+        held = msg(msg_id=2, destination=7, dest_community="D", created_at=NOW - 10)
+        dead = msg(msg_id=3, destination=7, dest_community="D",
                    created_at=NOW - 700 * 60, ttl_min=600.0)
         for m in (live, held, dead):
             c.admit(m, NOW - 1)
@@ -202,9 +202,9 @@ class TestScheduling:
         rng = random.Random(5)
         msgs = []
         for i in range(40):
-            dest_gid = rng.choice(["D", "B1", "B2"])
+            community = rng.choice(["D", "B1", "B2"])
             msgs.append(msg(msg_id=i, destination=rng.choice([7, 8, 5]),
-                            dest_gid=dest_gid,
+                            dest_community=community,
                             created_at=float(rng.randint(0, 500))))
         schedule = c.schedule_order(msgs, NOW)
         eviction = c.eviction_order(msgs, NOW)
@@ -216,7 +216,7 @@ class TestScheduling:
                     min_size=1, max_size=30))
     def test_duality_property(self, specs):
         c = self._carrier()
-        msgs = [msg(msg_id=i, destination=d, dest_gid=g, created_at=float(t))
+        msgs = [msg(msg_id=i, destination=d, dest_community=g, created_at=float(t))
                 for i, (g, t, d) in enumerate(specs)]
         assert c.eviction_order(msgs, NOW) == list(reversed(c.schedule_order(msgs, NOW)))
 
@@ -225,41 +225,41 @@ class TestAdmission:
     def test_class_b_evicted_before_class_a(self):
         c = make_plain_router(0, "D", capacity=300)
         set_intra(c, "B", 0.5, NOW)
-        b1 = msg(msg_id=1, destination=5, dest_gid="B", size=150)
-        b2 = msg(msg_id=2, destination=6, dest_gid="B", size=150)
+        b1 = msg(msg_id=1, destination=5, dest_community="B", size=150)
+        b2 = msg(msg_id=2, destination=6, dest_community="B", size=150)
         c.admit(b1, NOW)
         c.admit(b2, NOW)
-        incoming = msg(msg_id=3, destination=7, dest_gid="D", size=150)
+        incoming = msg(msg_id=3, destination=7, dest_community="D", size=150)
         admitted, evicted, _ = c.admit(incoming, NOW)
         assert admitted
-        assert all(v.dest_gid == "B" for v in evicted)
+        assert all(v.dest_community == "B" for v in evicted)
 
     def test_lowest_intra_evicted_first(self):
         c = make_plain_router(0, "D", capacity=300)
         set_intra(c, "B1", 0.03, NOW)
         set_intra(c, "B2", 0.01, NOW)
-        strong = msg(msg_id=1, destination=5, dest_gid="B1", size=150)
-        weak = msg(msg_id=2, destination=6, dest_gid="B2", size=150)
+        strong = msg(msg_id=1, destination=5, dest_community="B1", size=150)
+        weak = msg(msg_id=2, destination=6, dest_community="B2", size=150)
         c.admit(strong, NOW)
         c.admit(weak, NOW)
         admitted, evicted, _ = c.admit(msg(msg_id=3, destination=7,
-                                           dest_gid="D", size=150), NOW)
+                                           dest_community="D", size=150), NOW)
         assert admitted and [v.msg_id for v in evicted] == [2]
 
     def test_older_evicted_on_equal_energy(self):
         c = make_plain_router(0, "D", capacity=300)
         set_intra(c, "B", 0.5, NOW)
-        older = msg(msg_id=1, destination=5, dest_gid="B", size=150, created_at=10.0)
-        newer = msg(msg_id=2, destination=6, dest_gid="B", size=150, created_at=20.0)
+        older = msg(msg_id=1, destination=5, dest_community="B", size=150, created_at=10.0)
+        newer = msg(msg_id=2, destination=6, dest_community="B", size=150, created_at=20.0)
         c.admit(newer, NOW)
         c.admit(older, NOW)
         admitted, evicted, _ = c.admit(msg(msg_id=3, destination=7,
-                                           dest_gid="D", size=150), NOW)
+                                           dest_community="D", size=150), NOW)
         assert admitted and [v.msg_id for v in evicted] == [1]
 
     def test_oversize_rejected_buffer_untouched(self):
         c = make_plain_router(0, "D", capacity=300)
-        keep = msg(msg_id=1, destination=5, dest_gid="B", size=100)
+        keep = msg(msg_id=1, destination=5, dest_community="B", size=100)
         c.admit(keep, NOW)
         admitted, evicted, _ = c.admit(msg(msg_id=2, size=301), NOW)
         assert not admitted and not evicted
@@ -279,7 +279,7 @@ class TestAdmission:
         c = make_plain_router(0, "D", capacity=500)
         for i, (size, created) in enumerate(ops):
             c.admit(msg(msg_id=i, size=size, created_at=float(created),
-                        dest_gid="B"), NOW)
+                        dest_community="B"), NOW)
             assert c.buffer.used_bytes <= c.buffer.capacity_bytes
 
 
@@ -322,11 +322,11 @@ class TestDelivery:
     def test_relay_copy_keeps_every_other_field(self):
         """relay_copy lists Message's fields itself; a field it missed
         would fall back to its default here."""
-        m = msg(msg_id=7, source=3, destination=5, dest_gid="G7",
-                dest_interest=2, size=321, created_at=12.5, ttl_min=90.0,
+        m = msg(msg_id=7, source=3, destination=5, dest_community="G7",
+                size=321, created_at=12.5, ttl_min=90.0,
                 hop_count=4, payload=b"sealed")
         assert relay_copy(m) == dataclasses.replace(m, hop_count=5)
-        assert len(dataclasses.fields(Message)) == 10
+        assert len(dataclasses.fields(Message)) == 9
 
 
 class TestAntipackets:
@@ -411,8 +411,8 @@ def authed_pair(same_group=True, revoke_b=False):
     if revoke_b:
         ta.revoke(cert_b.id)
     ep = EnergyParams()
-    a = PrifRouter(0, 0, "G1", cert_a, ctx, ep, 10_000)
-    b = PrifRouter(1, 0 if same_group else 1, gid_b, cert_b, ctx, ep, 10_000)
+    a = PrifRouter(0, "G1", cert_a, ctx, ep, 10_000)
+    b = PrifRouter(1, gid_b, cert_b, ctx, ep, 10_000)
     return a, b
 
 
@@ -465,8 +465,8 @@ class TestContactLifecycle:
 
 class TestHeaderCodec:
     def test_header_contains_label_not_interest_number(self):
-        m = msg(dest_gid="Gdeadbeef", dest_interest=2)
-        header = encode_message_header(m, m.dest_gid.encode())
+        m = msg(dest_community="Gdeadbeef")
+        header = encode_message_header(m, m.dest_community.encode())
         assert b"Gdeadbeef" in header
         assert b"INTEREST=" not in header
 

@@ -1,8 +1,7 @@
 import hashlib
 import json
 import math
-from dataclasses import FrozenInstanceError, replace
-from pathlib import Path
+from dataclasses import FrozenInstanceError, fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,18 +9,18 @@ import pytest
 
 from prif.baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
 from prif.energy import EnergyParams
+from prif.model import Message
 from prif.routing import PrifRouter
 from prif.sim import (GroupSpec, Scenario, apply_axis, build_trace, desk_preset,
                       paper_preset, run, run_sweep, scenario_from_ini)
 from prif.sim import kernels, mobility, trace
-from prif.sim.engine import TRACE_KINDS, format_trace
+from prif.sim.engine import TRACE_KINDS, ReplayEngine, format_trace
 from prif.sim.scenario import ROUTERS
 from prif.sim.trace import assign_interests, build_contacts, build_plan
 
 from oracles import all_pairs_transitions, positions_at
 
 MB = 1024 * 1024
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def mini_scenario(**kw):
@@ -273,10 +272,6 @@ class TestScenario:
         interests = assign_interests(sc)
         assert all(interests[i] == 2 for i in range(16, 18))
         assert all(interests[i] < 2 for i in range(16))
-
-    def test_ini_matches_preset(self):
-        assert scenario_from_ini(CONFIGS / "desk.ini") == desk_preset()
-        assert scenario_from_ini(CONFIGS / "paper.ini") == paper_preset()
 
     def test_ini_sets_every_scenario_key(self, tmp_path):
         path = tmp_path / "all.ini"
@@ -565,6 +560,73 @@ class TestGoldenDigest:
         # uncharged, the same slow-link run relays fewer copies (604 vs 610)
         assert (digests(slow_link_scenario(router="prif"))[0]
                 != GOLDEN[("charged", "prif")][0])
+
+
+# Digests of the whole event list (``repr`` of every event, ``decide`` and
+# ``frame`` included), so the header frames that carry the community label
+# on the wire are pinned too; the text-trace digests above leave them out.
+EVENT_GOLDEN = {
+    "prif": "103de4f089330b4cdae161229e2125b54b904f95db3344a64aacc8de5c9d5371",
+    "prif-noprivacy": "59baf2b9856424a6e581a772046c0ec5e5905efc512d2f8e1e9f05108a88140b",
+    "epidemic": "712f4d06507fd8680d33aa40500a9208e08650dd1591d1ace41d1326494fc66c",
+    "prophet": "ab5e985c1477fa66fa608daf5a07657550bb1a40e2347c4aac9f692e6a3b678b",
+    "charged-prif": "5cb56cb636a75723be892789b74aee06003d32e4eeb984be76909c3bc2e6c679",
+}
+
+
+def event_digest(scenario):
+    events = []
+    run(scenario, events=events)
+    return hashlib.sha256("\n".join(map(repr, events)).encode()).hexdigest()
+
+
+class TestEventListGolden:
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_event_list_unchanged(self, router):
+        assert event_digest(mini_scenario(router=router)) == EVENT_GOLDEN[router]
+
+    def test_charged_prif_event_list_unchanged(self):
+        sc = slow_link_scenario(router="prif", charge_handshake_bytes=True)
+        assert event_digest(sc) == EVENT_GOLDEN["charged-prif"]
+
+
+def created_messages(scenario):
+    """The engine and every message it created, in creation order."""
+    engine = ReplayEngine(scenario, build_trace(scenario))
+    created = []
+    on_create = engine.ledger.on_create
+
+    def record(m):
+        created.append(m)
+        on_create(m)
+
+    engine.ledger.on_create = record
+    engine.run()
+    return engine, created
+
+
+class TestMessageCommunityLabel:
+    def test_prif_message_carries_only_the_gid(self):
+        engine, created = created_messages(mini_scenario(router="prif"))
+        assert created
+        interests = engine.trace.interests
+        gid_of = {}
+        for m in created:
+            gid = engine.routers[m.destination].community
+            assert m.dest_community == gid
+            assert isinstance(gid, str) and gid.startswith("G")
+            assert gid_of.setdefault(int(interests[m.destination]), gid) == gid
+        # one distinct gid per interest, and no field left for the interest
+        assert len(set(gid_of.values())) == len(gid_of) == 2
+        assert [f.name for f in fields(Message)] == [
+            "msg_id", "source", "destination", "dest_community", "size_bytes",
+            "created_at", "ttl_min", "hop_count", "payload"]
+
+    def test_noprivacy_message_carries_the_interest(self):
+        engine, created = created_messages(mini_scenario(router="prif-noprivacy"))
+        assert created
+        for m in created:
+            assert m.dest_community == int(engine.trace.interests[m.destination])
 
 
 def read_all_state(router, now):
