@@ -11,14 +11,16 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .energy import EnergyParams, decay_windows
+from .energy import EnergyParams, decay_windows, gamma_powers
 from .model import Message, NodeId, SimTime
-from .routing import (Action, ForwardDecision, Frames, PrifRouter, Reason,
-                      Router, interest_wire_bytes)
+from .routing import (DELIVER, HOLD, RELAY_HIGHER_INTRA, RELAY_INTO_COMMUNITY,
+                      ForwardDecision, Frames, PrifRouter, Router,
+                      interest_wire_bytes)
 from .routing import unseal_payload  # noqa: F401  (perfbench's tracer patches it here)
 
 
@@ -66,10 +68,10 @@ class EpidemicRouter(Router):
     def decide(self, peer: "EpidemicRouter", m: Message, now: SimTime) -> ForwardDecision:
         """Flood: deliver at the destination, otherwise relay any missing copy."""
         if peer.node == m.destination:
-            return ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
-        if m.msg_id in peer.buffer or m.msg_id in peer.delivered_ids:
-            return ForwardDecision(Action.HOLD, Reason.TIE_OR_LOWER)
-        return ForwardDecision(Action.RELAY, Reason.CARRIER_OUTSIDE_DEST_IN_COMMUNITY)
+            return DELIVER
+        if m.msg_id in peer.buffer or peer.knows_delivered(m.msg_id):
+            return HOLD
+        return RELAY_INTO_COMMUNITY
 
     def _schedule_key(self, m: Message, peer: Router, now: SimTime):
         return (0 if m.destination == peer.node else 1, m.created_at, m.msg_id)
@@ -100,20 +102,21 @@ class ProphetState:
         """Every entry decays by gamma per whole window since the last aging."""
         k = decay_windows(self.last_aged_at, now, self.window)
         if k:
-            f = self.gamma_age ** k
-            for node in self.p:
-                self.p[node] *= f
+            f = gamma_powers(self.gamma_age)[k]
+            self.p = {node: v * f for node, v in self.p.items()}
             self.last_aged_at += k * self.window
 
     def transitive(self, via: NodeId,
                    peer_vector: Iterable[tuple[NodeId, float]]) -> None:
         """P(c) grows by P(via) * P_via(c) * beta of the headroom."""
-        p_via = self.p.get(via, 0.0)
+        p = self.p
+        owner, beta = self.owner, self.beta_transitive
+        p_via = p.get(via, 0.0)
         for node, p_bc in peer_vector:
-            if node == self.owner or node == via:
+            if node == owner or node == via:
                 continue
-            old = self.p.get(node, 0.0)
-            self.p[node] = old + (1.0 - old) * p_via * p_bc * self.beta_transitive
+            old = p.get(node, 0.0)
+            p[node] = old + (1.0 - old) * p_via * p_bc * beta
 
 
 class ProphetRouter(Router):
@@ -128,12 +131,16 @@ class ProphetRouter(Router):
         self.state = ProphetState(owner=node, p_init=p_init,
                                   beta_transitive=beta_transitive,
                                   gamma_age=gamma_age, window=window)
+        self._powers = gamma_powers(gamma_age)
 
     def predictability(self, dest: NodeId, now: SimTime) -> float:
         """P(dest) decayed from the vector's anchor to ``now``; a pure read."""
         s = self.state
-        return s.p.get(dest, 0.0) * s.gamma_age ** decay_windows(
-            s.last_aged_at, now, s.window)
+        p = s.p.get(dest, 0.0)
+        anchor = s.last_aged_at
+        if now <= anchor:
+            return p
+        return p * self._powers[math.floor((now - anchor) / s.window)]
 
     def begin_contact(self, other: "ProphetRouter", now: SimTime,
                       rng: random.Random) -> tuple[bool, Frames, Frames]:
@@ -151,10 +158,10 @@ class ProphetRouter(Router):
 
     def decide(self, peer: "ProphetRouter", m: Message, now: SimTime) -> ForwardDecision:
         if peer.node == m.destination:
-            return ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
+            return DELIVER
         if peer.predictability(m.destination, now) > self.predictability(m.destination, now):
-            return ForwardDecision(Action.RELAY, Reason.HIGHER_INTRA)
-        return ForwardDecision(Action.HOLD, Reason.TIE_OR_LOWER)
+            return RELAY_HIGHER_INTRA
+        return HOLD
 
     def _schedule_key(self, m: Message, peer: Router, now: SimTime):
         return (0 if m.destination == peer.node else 1,

@@ -16,6 +16,11 @@ windows since the anchor and change nothing, so how often a table is read
 never affects what it later returns.  A write first brings only the record it
 touches forward to ``now`` (values decayed, anchor advanced in whole windows)
 and then applies its update; a new record is anchored at ``now``.
+Every decay factor ``gamma ** k`` comes from one ``GammaPowers`` table per
+gamma, shared by every table in the process (and by PRoPHET's aging): each
+power is computed once and is the same float ``gamma ** k`` gives.  The
+reads inline ``predict_inter``/``predict_intra`` and the transitive fold
+inlines ``age``; the tests hold each inline copy to its named original.
 Forwarding comparisons use strict ``>``: a tie is no evidence of improvement,
 so the carrier keeps the message.
 """
@@ -88,6 +93,32 @@ def decay_windows(anchor: SimTime, now: SimTime, window: float) -> int:
     return int(math.floor((now - anchor) / window))
 
 
+class GammaPowers(dict):
+    """``k -> gamma ** k``, each power computed on first use."""
+
+    def __init__(self, gamma: float) -> None:
+        super().__init__()
+        self.gamma = gamma
+
+    def __missing__(self, k: int) -> float:
+        f = self[k] = self.gamma ** k
+        return f
+
+
+# One table per gamma for the whole process: a pure memo whose entries do not
+# depend on the order they are filled in, so no run can see another's.  A
+# run has one gamma, and k stays below duration / window.
+_GAMMA_POWERS: dict[float, GammaPowers] = {}
+
+
+def gamma_powers(gamma: float) -> GammaPowers:
+    """The shared ``k -> gamma ** k`` table for ``gamma``."""
+    table = _GAMMA_POWERS.get(gamma)
+    if table is None:
+        table = _GAMMA_POWERS[gamma] = GammaPowers(gamma)
+    return table
+
+
 class EnergyTable:
     """Per-node store of inter and intra community energies.
 
@@ -103,6 +134,7 @@ class EnergyTable:
         self.owner = owner
         self.owner_community = owner_community
         self.params = params or EnergyParams()
+        self._powers = gamma_powers(self.params.gamma)
         self.inter: dict[NodeId, InterEnergyRecord] = {}
         self.intra: dict[CommunityKey, IntraEnergyRecord] = {}
 
@@ -120,15 +152,10 @@ class EnergyTable:
         w = self.params.window
         k = decay_windows(rec.last_aged_at, now, w)
         if k:
-            f = self.params.gamma ** k
+            f = self._powers[k]
             rec.value *= f
             rec.prev_value *= f
             rec.last_aged_at += k * w
-
-    def _decay(self, rec: InterEnergyRecord | IntraEnergyRecord, now: SimTime) -> float:
-        """gamma to the whole windows since the record's anchor; reads only."""
-        return self.params.gamma ** decay_windows(rec.last_aged_at, now,
-                                                  self.params.window)
 
     # -- inter-community updates ----------------------------------------
 
@@ -173,14 +200,22 @@ class EnergyTable:
         e_via = self.effective_inter(via, now)
         if e_via <= 0.0:
             return
+        owner, inter = self.owner, self.inter
+        w, powers = self.params.window, self._powers
         for node, e_bc in summary:
-            if node == self.owner or node == via:
+            if node == owner or node == via:
                 continue
-            rec = self.inter.get(node)
+            rec = inter.get(node)
             if rec is None:
-                rec = InterEnergyRecord(peer=node, last_aged_at=now)
-                self.inter[node] = rec
-            self.age(rec, now)
+                rec = inter[node] = InterEnergyRecord(peer=node, last_aged_at=now)
+            elif now > rec.last_aged_at:
+                # ``age`` inlined: this loop is the table's busiest writer
+                k = math.floor((now - rec.last_aged_at) / w)
+                if k:
+                    f = powers[k]
+                    rec.value *= f
+                    rec.prev_value *= f
+                    rec.last_aged_at += k * w
             rec.value = rec.value + (1.0 - rec.value) * e_via * e_bc
 
     # -- intra-community updates ----------------------------------------
@@ -214,17 +249,33 @@ class EnergyTable:
         rec = self.inter.get(peer)
         if rec is None:
             return 0.0
-        return predict_inter(rec, self.params.alpha) * self._decay(rec, now)
+        a = self.params.alpha
+        e = a * rec.prev_value + (1.0 - a) * rec.value      # predict_inter
+        anchor = rec.last_aged_at
+        if now <= anchor:
+            return e
+        return e * self._powers[math.floor((now - anchor) / self.params.window)]
 
     def effective_intra(self, community: CommunityKey, now: SimTime) -> float:
         """Decayed, predicted intra energy toward a community; 0 if unknown."""
         rec = self.intra.get(community)
         if rec is None:
             return 0.0
-        return predict_intra(rec, self.params.beta) * self._decay(rec, now)
+        b = self.params.beta
+        e = b * rec.prev_value + (1.0 - b) * rec.value      # predict_intra
+        anchor = rec.last_aged_at
+        if now <= anchor:
+            return e
+        return e * self._powers[math.floor((now - anchor) / self.params.window)]
 
     def inter_summary(self, now: SimTime) -> list[tuple[NodeId, float]]:
         """Snapshot of effective inter energies, exchanged during contacts."""
-        a = self.params.alpha
-        return [(peer, predict_inter(rec, a) * self._decay(rec, now))
-                for peer, rec in sorted(self.inter.items())]
+        a, w, powers = self.params.alpha, self.params.window, self._powers
+        out = []
+        for peer, rec in sorted(self.inter.items()):
+            e = a * rec.prev_value + (1.0 - a) * rec.value  # effective_inter
+            anchor = rec.last_aged_at
+            if now > anchor:
+                e *= powers[math.floor((now - anchor) / w)]
+            out.append((peer, e))
+        return out

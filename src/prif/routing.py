@@ -28,6 +28,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Optional
 
 from cryptography.exceptions import InvalidTag
@@ -35,7 +36,8 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import auth
 from .energy import EnergyParams, EnergyTable
-from .model import ContactEvent, Message, NodeId, SimTime, message_is_expired
+from .model import (SECONDS_PER_MINUTE, ContactEvent, Message, NodeId, SimTime,
+                    message_is_expired)
 
 
 class SealError(Exception):
@@ -64,6 +66,15 @@ class ForwardDecision:
     def __post_init__(self) -> None:
         if self.action is Action.DELIVER and self.reason is not Reason.DESTINATION_MET:
             raise ValueError("deliver happens only when the peer is the destination")
+
+
+# The five decisions, shared: a decision is a frozen value.
+DELIVER = ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
+RELAY_HIGHER_INTER = ForwardDecision(Action.RELAY, Reason.SAME_COMMUNITY_HIGHER_INTER)
+RELAY_INTO_COMMUNITY = ForwardDecision(Action.RELAY,
+                                       Reason.CARRIER_OUTSIDE_DEST_IN_COMMUNITY)
+RELAY_HIGHER_INTRA = ForwardDecision(Action.RELAY, Reason.HIGHER_INTRA)
+HOLD = ForwardDecision(Action.HOLD, Reason.TIE_OR_LOWER)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +138,28 @@ def encode_message_header(m: Message, community_label: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 class Buffer:
-    """Capacity-bounded message store preserving insertion order."""
+    """Capacity-bounded message store preserving insertion order.
+
+    Next to the insertion-ordered copies it keeps, for each distinct
+    ``ttl_min``, a lazy-deletion heap of ``(created_at, msg_id, seq)``,
+    where ``seq`` numbers insertions; an entry whose ``seq`` is no longer
+    its id's live one is stale and skipped.  Under one TTL a copy has
+    expired iff the oldest one has (``now - created_at > ttl`` is monotone
+    in ``created_at``), so ``pop_expired`` stops at the first live copy and
+    returns ``[]`` without touching the rest.  Expired copies come back in
+    insertion order, and ``pop_oldest`` gives the oldest-first eviction
+    order, by ``(created_at, msg_id)``, from the same heaps.  A heap set
+    holding more than twice as many entries as live copies is rebuilt.
+    """
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
             raise ValueError("buffer capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self._msgs: dict[int, Message] = {}
+        self._seq: dict[int, int] = {}      # msg_id -> seq of the live copy
+        self._heaps: dict[float, list[tuple[SimTime, int, int]]] = {}
+        self._next_seq = 0
         self._used = 0
 
     def __contains__(self, msg_id: int) -> bool:
@@ -146,27 +172,86 @@ class Buffer:
     def messages(self) -> list[Message]:
         return list(self._msgs.values())
 
-    def ids(self) -> set[int]:
-        return set(self._msgs)
-
     def add(self, m: Message) -> None:
-        if m.msg_id in self._msgs:
-            raise ValueError(f"message {m.msg_id} already buffered")
+        mid = m.msg_id
+        if mid in self._msgs:
+            raise ValueError(f"message {mid} already buffered")
         if self._used + m.size_bytes > self.capacity_bytes:
             raise ValueError("buffer overflow; evict before adding")
-        self._msgs[m.msg_id] = m
+        self._msgs[mid] = m
         self._used += m.size_bytes
+        seq = self._seq[mid] = self._next_seq
+        self._next_seq = seq + 1
+        heap = self._heaps.get(m.ttl_min)
+        if heap is None:
+            heap = self._heaps[m.ttl_min] = []
+        heappush(heap, (m.created_at, mid, seq))
+        if sum(map(len, self._heaps.values())) > 2 * len(self._msgs):
+            self._compact()
 
     def remove(self, msg_id: int) -> Message:
         m = self._msgs.pop(msg_id)
+        del self._seq[msg_id]
         self._used -= m.size_bytes
         return m
 
+    def _compact(self) -> None:
+        """Rebuild the heaps from the live copies only."""
+        heaps: dict[float, list[tuple[SimTime, int, int]]] = {}
+        seqs = self._seq
+        for mid, m in self._msgs.items():
+            heaps.setdefault(m.ttl_min, []).append((m.created_at, mid, seqs[mid]))
+        for heap in heaps.values():
+            heapify(heap)
+        self._heaps = heaps
+
+    def _live_top(self, heap: list[tuple[SimTime, int, int]]):
+        """The heap's oldest live entry after dropping stale ones; None if
+        the heap holds none."""
+        seqs = self._seq
+        while heap:
+            top = heap[0]
+            if seqs.get(top[1]) == top[2]:
+                return top
+            heappop(heap)
+        return None
+
+    def any_expired(self, now: SimTime) -> bool:
+        """True iff some buffered copy has expired at ``now``; removes none."""
+        for ttl, heap in self._heaps.items():
+            top = self._live_top(heap)
+            # the float comparison message_is_expired makes
+            if top is not None and now - top[0] > ttl * SECONDS_PER_MINUTE:
+                return True
+        return False
+
     def pop_expired(self, now: SimTime) -> list[Message]:
-        dead = [m for m in self._msgs.values() if message_is_expired(m, now)]
-        for m in dead:
-            self.remove(m.msg_id)
-        return dead
+        """Remove and return every expired copy, in insertion order."""
+        dead: list[tuple[int, int]] = []
+        for ttl, heap in self._heaps.items():
+            limit = ttl * SECONDS_PER_MINUTE
+            while True:
+                top = self._live_top(heap)
+                if top is None or not now - top[0] > limit:
+                    break
+                heappop(heap)
+                dead.append((top[2], top[1]))
+        if not dead:
+            return []
+        dead.sort()
+        return [self.remove(mid) for _, mid in dead]
+
+    def pop_oldest(self) -> Message:
+        """Remove and return the copy first by ``(created_at, msg_id)``."""
+        best = None
+        for heap in self._heaps.values():
+            top = self._live_top(heap)
+            if top is not None and (best is None or top < best[0]):
+                best = (top, heap)
+        if best is None:
+            raise KeyError("pop_oldest from an empty buffer")
+        heappop(best[1])
+        return self.remove(best[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +274,12 @@ class Router:
     its contact setup ``begin_contact(other, now, rng) -> (usable, frames
     sent by self, frames sent by other)``, its forwarding decision
     ``decide(peer, m, now)`` and its transmission order
-    ``_schedule_key(m, peer, now)``; the default eviction order drops the
+    ``_schedule_key(m, peer, now)``; the default ``evict_for`` drops the
     oldest copy first.  The setup frames are what the link budget is charged.
+
+    Delivery knowledge is one int, ``delivered_mask``, with bit ``msg_id``
+    set for every id known delivered (message ids are dense from 0); gossip
+    is then one ``|``.  ``knows_delivered`` is the membership test.
     """
 
     gossips_antipackets = False
@@ -200,7 +289,7 @@ class Router:
         self.node = node
         self.community = community
         self.buffer = Buffer(capacity_bytes)
-        self.delivered_ids: set[int] = set()
+        self.delivered_mask = 0
 
     def pseudo_identity(self) -> str:
         return self.cert.id if self.cert is not None else f"node-{self.node}"
@@ -219,17 +308,25 @@ class Router:
                        peer: Optional["Router"] = None) -> list[Message]:
         return sorted(msgs, key=lambda m: self._schedule_key(m, peer, now))
 
-    def eviction_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
-        return sorted(msgs, key=lambda m: (m.created_at, m.msg_id))
+    def evict_for(self, size_bytes: int, now: SimTime) -> list[Message]:
+        """Evict until ``size_bytes`` more fit: oldest first, by
+        ``(created_at, msg_id)``, straight from the buffer's heaps."""
+        buf = self.buffer
+        evicted = []
+        while buf.used_bytes + size_bytes > buf.capacity_bytes:
+            evicted.append(buf.pop_oldest())
+        return evicted
 
     def schedule_messages(self, peer: "Router", now: SimTime) -> list[Message]:
         """Outbound plan for one contact: drop dead copies, skip what the
-        peer already has or has seen delivered, order the rest."""
-        candidates = [m for m in self.buffer.messages()
-                      if not message_is_expired(m, now)
-                      and m.msg_id not in peer.buffer
-                      and m.msg_id not in peer.delivered_ids
-                      and m.msg_id not in self.delivered_ids]
+        peer already has or either side knows delivered, order the rest."""
+        msgs = self.buffer.messages()
+        if self.buffer.any_expired(now):
+            msgs = [m for m in msgs if not message_is_expired(m, now)]
+        held = peer.buffer
+        known = self.delivered_mask | peer.delivered_mask
+        candidates = [m for m in msgs
+                      if m.msg_id not in held and not known >> m.msg_id & 1]
         return self.schedule_order(candidates, now, peer)
 
     # -- buffer admission ---------------------------------------------------------
@@ -240,18 +337,14 @@ class Router:
         Returns (admitted, evicted, expired-purged).  A message larger than
         the whole buffer is rejected outright.
         """
-        purged = self.buffer.pop_expired(now)
-        if m.size_bytes > self.buffer.capacity_bytes:
+        buf = self.buffer
+        purged = buf.pop_expired(now)
+        if m.size_bytes > buf.capacity_bytes:
             return False, [], purged
         evicted: list[Message] = []
-        if self.buffer.used_bytes + m.size_bytes > self.buffer.capacity_bytes:
-            order = self.eviction_order(self.buffer.messages(), now)
-            for victim in order:
-                if self.buffer.used_bytes + m.size_bytes <= self.buffer.capacity_bytes:
-                    break
-                self.buffer.remove(victim.msg_id)
-                evicted.append(victim)
-        self.buffer.add(m)
+        if buf.used_bytes + m.size_bytes > buf.capacity_bytes:
+            evicted = self.evict_for(m.size_bytes, now)
+        buf.add(m)
         return True, evicted, purged
 
     def pop_expired(self, now: SimTime) -> list[Message]:
@@ -263,31 +356,39 @@ class Router:
 
     # -- delivery and anti-packets ---------------------------------------------------
 
+    def knows_delivered(self, msg_id: int) -> bool:
+        """True iff ``msg_id`` is known delivered; a negative id raises
+        ``ValueError`` (a negative shift count)."""
+        return bool(self.delivered_mask >> msg_id & 1)
+
     def accept_delivery(self, m: Message) -> bool:
         """Destination-side processing; True the first time an id arrives."""
         if m.destination != self.node:
             raise ValueError("delivery processed at a non-destination node")
-        if m.msg_id in self.delivered_ids:
+        if self.knows_delivered(m.msg_id):
             return False
         unseal_payload(m.payload, self.pseudo_identity())
-        self.delivered_ids.add(m.msg_id)
+        self.delivered_mask |= 1 << m.msg_id
         return True
 
     def mark_delivered(self, msg_id: int) -> Optional[Message]:
-        """Record a delivery notice; returns the own copy it condemns, if any."""
-        self.delivered_ids.add(msg_id)
+        """Record a delivery notice; returns the own copy it condemns, if any.
+        A negative id raises ``ValueError``."""
+        self.delivered_mask |= 1 << msg_id
         return self.buffer.remove(msg_id) if msg_id in self.buffer else None
 
+    def _drop_known_delivered(self) -> list[Message]:
+        """Remove the buffered copies known delivered, in ascending id order."""
+        known = self.delivered_mask
+        buf = self.buffer
+        return [buf.remove(mid) for mid in
+                sorted(m.msg_id for m in buf.messages() if known >> m.msg_id & 1)]
+
     def exchange_antipackets(self, other: "Router") -> tuple[list[Message], list[Message]]:
-        """Union the delivered-id sets and drop any copies they condemn."""
-        union = self.delivered_ids | other.delivered_ids
-        self.delivered_ids = union
-        other.delivered_ids = set(union)
-        dropped_self = [self.buffer.remove(mid) for mid in
-                        sorted(union & self.buffer.ids())]
-        dropped_other = [other.buffer.remove(mid) for mid in
-                         sorted(union & other.buffer.ids())]
-        return dropped_self, dropped_other
+        """Union the delivery knowledge and drop any copies it condemns."""
+        self.delivered_mask = other.delivered_mask = (
+            self.delivered_mask | other.delivered_mask)
+        return self._drop_known_delivered(), other._drop_known_delivered()
 
 
 class PrifRouter(Router):
@@ -355,21 +456,21 @@ class PrifRouter(Router):
     def decide(self, peer: "PrifRouter", m: Message, now: SimTime) -> ForwardDecision:
         """Community-energy forwarding decision for one live message."""
         if peer.node == m.destination:
-            return ForwardDecision(Action.DELIVER, Reason.DESTINATION_MET)
+            return DELIVER
         dest_c = m.dest_community
         peer_c = self.sessions[peer.node]
         if self.community == dest_c:
             if (peer_c == dest_c
                     and peer.energy.effective_inter(m.destination, now)
                     > self.energy.effective_inter(m.destination, now)):
-                return ForwardDecision(Action.RELAY, Reason.SAME_COMMUNITY_HIGHER_INTER)
-            return ForwardDecision(Action.HOLD, Reason.TIE_OR_LOWER)
+                return RELAY_HIGHER_INTER
+            return HOLD
         if peer_c == dest_c:
-            return ForwardDecision(Action.RELAY, Reason.CARRIER_OUTSIDE_DEST_IN_COMMUNITY)
+            return RELAY_INTO_COMMUNITY
         if (peer.energy.effective_intra(dest_c, now)
                 > self.energy.effective_intra(dest_c, now)):
-            return ForwardDecision(Action.RELAY, Reason.HIGHER_INTRA)
-        return ForwardDecision(Action.HOLD, Reason.TIE_OR_LOWER)
+            return RELAY_HIGHER_INTRA
+        return HOLD
 
     # -- scheduling and eviction -------------------------------------------------
 
@@ -382,10 +483,17 @@ class PrifRouter(Router):
         return (1, -self.energy.effective_intra(m.dest_community, now),
                 -m.created_at, m.msg_id)
 
-    def eviction_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
-        """The schedule order reversed; every key ends in the unique msg_id,
-        so no two keys tie and the reversal is exact."""
-        return self.schedule_order(msgs, now)[::-1]
+    def evict_for(self, size_bytes: int, now: SimTime) -> list[Message]:
+        """Evict in the schedule order reversed until ``size_bytes`` more
+        fit; every key ends in the unique msg_id, so no two keys tie and the
+        reversal is exact."""
+        buf = self.buffer
+        evicted = []
+        for victim in reversed(self.schedule_order(buf.messages(), now)):
+            if buf.used_bytes + size_bytes <= buf.capacity_bytes:
+                break
+            evicted.append(buf.remove(victim.msg_id))
+        return evicted
 
 
 def relay_copy(m: Message) -> Message:

@@ -8,6 +8,10 @@ every tick and emits adjacency transitions.  It culls pairs per block of
 ticks with node bounding boxes and tests only the survivors, with the same
 float expression an all-pairs scan uses, so its output is bit-identical to
 testing every pair at every tick.
+
+``transitions`` takes the (T, N, 2) array ``positions`` returns, not the
+two planes, because the benchmark's tracer counts pair-ticks from its first
+argument's shape.
 """
 
 from __future__ import annotations
@@ -22,26 +26,57 @@ USE_NUMBA = False
 _REL_SLACK = 1e-9
 _ABS_SLACK = 1e-6
 
+# Node-ticks per vectorised group in ``positions``: large enough to amortise
+# numpy's per-call cost, small enough to stay in cache.
+_GROUP_ELEMS = 65_536
+
 
 def positions(leg_off: np.ndarray, leg_t0: np.ndarray,
               leg_x0: np.ndarray, leg_y0: np.ndarray,
               leg_x1: np.ndarray, leg_y1: np.ndarray,
               leg_vx: np.ndarray, leg_vy: np.ndarray,
               leg_tarr: np.ndarray, ticks: np.ndarray) -> np.ndarray:
-    """(T, N, 2) positions at the given times."""
+    """(T, N, 2) positions at the given (ascending) times.
+
+    A node is on its last leg starting at or before the tick (its first leg
+    for earlier ticks), so each leg covers a run of consecutive ticks.  The
+    legs' values are repeated over their runs for a few nodes at a time and
+    evaluated with the per-tick expression, which gives the same floats as
+    looking the leg up tick by tick.  The array is a view of two (T, N)
+    planes, so ``out[:, :, 0]`` (x) and ``out[:, :, 1]`` (y) are each
+    C-contiguous and ``transitions`` reads them without a copy.
+    """
     n_nodes = leg_off.shape[0] - 1
-    out = np.empty((ticks.shape[0], n_nodes, 2), dtype=np.float64)
-    for n in range(n_nodes):
-        lo, hi = leg_off[n], leg_off[n + 1]
-        t0 = leg_t0[lo:hi]
-        idx = np.searchsorted(t0, ticks, side="right") - 1
-        idx[idx < 0] = 0
-        base = lo + idx
-        dt = ticks - leg_t0[base]
-        moving = ticks < leg_tarr[base]
-        out[:, n, 0] = np.where(moving, leg_x0[base] + leg_vx[base] * dt, leg_x1[base])
-        out[:, n, 1] = np.where(moving, leg_y0[base] + leg_vy[base] * dt, leg_y1[base])
-    return out
+    n_ticks = ticks.shape[0]
+    out = np.empty((2, n_ticks, n_nodes))
+    xs, ys = out
+    # leg l covers its node's ticks [first[l], end[l])
+    first = np.searchsorted(ticks, leg_t0, side="left")
+    end = np.empty_like(first)
+    end[:-1] = first[1:]
+    end[leg_off[1:] - 1] = n_ticks
+    first[leg_off[:-1]] = 0
+    runs = end - first
+    group = max(1, _GROUP_ELEMS // max(n_ticks, 1))
+    for g in range(0, n_nodes, group):
+        h = min(g + group, n_nodes)
+        lo, hi = leg_off[g], leg_off[h]
+        reps = runs[lo:hi]
+
+        def per_tick(col: np.ndarray) -> np.ndarray:
+            return np.repeat(col[lo:hi], reps)
+
+        t = np.tile(ticks, h - g)
+        parked = t >= per_tick(leg_tarr)
+        dt = np.subtract(t, per_tick(leg_t0), out=t)
+        for plane, x0, v, x1 in ((xs, leg_x0, leg_vx, leg_x1),
+                                 (ys, leg_y0, leg_vy, leg_y1)):
+            # x0 + v * dt while moving (addition commutes exactly), else x1
+            x = np.multiply(per_tick(v), dt)
+            x += per_tick(x0)
+            np.copyto(x, per_tick(x1), where=parked)
+            plane[:, g:h] = x.reshape(h - g, n_ticks).T
+    return out.transpose(1, 2, 0)
 
 
 def transitions(pos: np.ndarray, minr2: np.ndarray, adj: np.ndarray,

@@ -94,6 +94,7 @@ def build_contacts(scenario: Scenario) -> tuple[list[ContactEvent], int]:
                                 legs.x1, legs.y1, legs.vx, legs.vy,
                                 legs.tarr, ticks)
         tt, ii, jj, started, adj = kernels.transitions(pos, minr2, adj)
+        del pos   # freed before the next block is allocated: one block at a time
         for k in range(tt.shape[0]):
             t = float(ticks[tt[k]])
             pair = (int(ii[k]), int(jj[k]))

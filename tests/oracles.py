@@ -3,15 +3,19 @@
 These deliberately re-derive the update recurrences from scratch (explicit
 scalar loops over event scripts) instead of reusing any table machinery, so
 they can catch bookkeeping mistakes in the incremental implementations.
-The all-pairs contact scan is the reference the culled kernel must match.
-``positions_at`` samples leg arrays at arbitrary times for kernel tests.
+The all-pairs contact scan is the reference the culled kernel must match;
+the per-leg itinerary loop, the per-node position fill and the set-and-sort
+buffer are the references for the batched, plane-backed and heap-backed
+versions.  ``positions_at`` samples leg arrays at arbitrary times for kernel
+tests.
 """
 
 import math
 
 import numpy as np
 
-from prif.sim import kernels
+from prif.model import message_is_expired
+from prif.sim import kernels, mobility
 
 
 def inter_script_oracle(contacts, alpha, gamma, window, read_time):
@@ -132,3 +136,123 @@ def positions_at(legs, times):
                             legs.x1, legs.y1, legs.vx, legs.vy,
                             legs.tarr, ticks)
     return out[0] if scalar else out
+
+
+def reference_itineraries(area, speed_lo, speed_hi, pause_lo, pause_hi,
+                          duration, seed):
+    """``mobility.build_itineraries`` one scalar draw and one leg at a time."""
+    width, height = area
+    n_nodes = speed_lo.shape[0]
+    streams = np.random.SeedSequence(seed).spawn(n_nodes)
+    offs = [0]
+    cols = {k: [] for k in ("t0", "x0", "y0", "x1", "y1", "vx", "vy", "tarr")}
+    for n in range(n_nodes):
+        rng = np.random.default_rng(streams[n])
+        x = rng.uniform(0.0, width)
+        y = rng.uniform(0.0, height)
+        t = 0.0
+        while True:
+            wx = rng.uniform(0.0, width)
+            wy = rng.uniform(0.0, height)
+            v = rng.uniform(speed_lo[n], speed_hi[n])
+            dist = math.hypot(wx - x, wy - y)
+            travel = dist / v
+            if travel > 0.0:
+                lvx = (wx - x) / travel
+                lvy = (wy - y) / travel
+            else:
+                lvx = lvy = 0.0
+            pause = rng.uniform(pause_lo[n], pause_hi[n])
+            cols["t0"].append(t)
+            cols["x0"].append(x)
+            cols["y0"].append(y)
+            cols["x1"].append(wx)
+            cols["y1"].append(wy)
+            cols["vx"].append(lvx)
+            cols["vy"].append(lvy)
+            cols["tarr"].append(t + travel)
+            t = t + travel + pause
+            x, y = wx, wy
+            if t > duration:
+                break
+        offs.append(len(cols["t0"]))
+    return mobility.LegArrays(np.asarray(offs, dtype=np.int64),
+                              *(np.asarray(cols[k]) for k in cols))
+
+
+def reference_positions(legs, ticks):
+    """``kernels.positions`` into a plain (T, N, 2) array, node by node."""
+    n_nodes = legs.n_nodes
+    out = np.empty((ticks.shape[0], n_nodes, 2), dtype=np.float64)
+    for n in range(n_nodes):
+        lo, hi = legs.leg_off[n], legs.leg_off[n + 1]
+        idx = np.searchsorted(legs.t0[lo:hi], ticks, side="right") - 1
+        idx[idx < 0] = 0
+        base = lo + idx
+        dt = ticks - legs.t0[base]
+        moving = ticks < legs.tarr[base]
+        out[:, n, 0] = np.where(moving, legs.x0[base] + legs.vx[base] * dt,
+                                legs.x1[base])
+        out[:, n, 1] = np.where(moving, legs.y0[base] + legs.vy[base] * dt,
+                                legs.y1[base])
+    return out
+
+
+class SetBufferNode:
+    """A router's buffer and delivery knowledge kept the plain way: an
+    insertion-ordered dict scanned for expiry, a full sort for oldest-first
+    eviction, and a set of delivered ids.  Reference for ``Buffer`` and the
+    ``Router`` admission, schedule filter and anti-packet methods."""
+
+    def __init__(self, node, capacity_bytes):
+        self.node = node
+        self.capacity_bytes = capacity_bytes
+        self.msgs = {}
+        self.delivered_ids = set()
+
+    def used_bytes(self):
+        return sum(m.size_bytes for m in self.msgs.values())
+
+    def pop_expired(self, now):
+        dead = [m for m in self.msgs.values() if message_is_expired(m, now)]
+        for m in dead:
+            del self.msgs[m.msg_id]
+        return dead
+
+    def admit(self, m, now):
+        purged = self.pop_expired(now)
+        if m.size_bytes > self.capacity_bytes:
+            return False, [], purged
+        evicted = []
+        for victim in sorted(self.msgs.values(),
+                             key=lambda v: (v.created_at, v.msg_id)):
+            if self.used_bytes() + m.size_bytes <= self.capacity_bytes:
+                break
+            del self.msgs[victim.msg_id]
+            evicted.append(victim)
+        self.msgs[m.msg_id] = m
+        return True, evicted, purged
+
+    def drop_copy(self, msg_id):
+        return self.msgs.pop(msg_id)
+
+    def candidates(self, peer, now):
+        """The schedule filter: live, not held by the peer, not known
+        delivered on either side; buffer order."""
+        return [m for m in self.msgs.values()
+                if not message_is_expired(m, now)
+                and m.msg_id not in peer.msgs
+                and m.msg_id not in peer.delivered_ids
+                and m.msg_id not in self.delivered_ids]
+
+    def mark_delivered(self, msg_id):
+        self.delivered_ids.add(msg_id)
+        return self.msgs.pop(msg_id, None)
+
+    def exchange_antipackets(self, other):
+        union = self.delivered_ids | other.delivered_ids
+        self.delivered_ids = union
+        other.delivered_ids = set(union)
+        dropped_self = [self.msgs.pop(mid) for mid in sorted(union & set(self.msgs))]
+        dropped_other = [other.msgs.pop(mid) for mid in sorted(union & set(other.msgs))]
+        return dropped_self, dropped_other

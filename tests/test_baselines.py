@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from prif.baselines import (EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter,
                             ProphetState)
-from prif.energy import EnergyParams
+from prif.energy import EnergyParams, decay_windows
 from prif.model import Message
 from prif.routing import Action, interest_wire_bytes
 from prif.sim import build_trace, desk_preset, run
@@ -51,7 +51,7 @@ class TestEpidemic:
     def test_hold_when_peer_already_delivered(self):
         a, b = self._pair()
         m = msg()
-        b.delivered_ids.add(m.msg_id)
+        b.mark_delivered(m.msg_id)
         assert a.decide(b, m, NOW).action is Action.HOLD
 
     def test_drop_oldest_eviction(self):
@@ -80,6 +80,17 @@ class TestProphetUpdates:
         r.state.age(60.0)
         assert r.state.p[5] == pytest.approx(0.75 * 0.9604)
         assert r.state.last_aged_at == 60.0
+
+    @settings(max_examples=200)
+    @given(st.floats(0, 1), st.integers(0, 4_000).map(lambda t: t / 4),
+           st.integers(0, 8_000).map(lambda t: t / 4))
+    def test_predictability_is_p_times_power(self, p, anchor, now):
+        r = ProphetRouter(0, 0, 10_000)
+        r.state.p[5] = p
+        r.state.last_aged_at = anchor
+        s = r.state
+        assert r.predictability(5, now) == p * s.gamma_age ** decay_windows(
+            anchor, now, s.window)
 
     def test_transitive_from_zero(self):
         s = ProphetState(owner=0, p={1: 0.75})

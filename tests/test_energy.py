@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prif.energy import (EnergyParams, EnergyTable, InterEnergyRecord,
-                         IntraEnergyRecord, predict_inter, predict_intra)
+                         IntraEnergyRecord, decay_windows, predict_inter,
+                         predict_intra)
 from prif.model import ContactEvent
 
 from oracles import inter_script_oracle, intra_script_oracle, transitive_oracle
@@ -375,6 +376,65 @@ class TestOracleEquivalence:
             got = t.effective_intra("X", read)
             want = intra_script_oracle(times, P.beta, P.gamma, P.window, read)
             assert got == pytest.approx(want, abs=1e-9), f"trial {trial}"
+
+
+# ---------------------------------------------------------------------------
+# the inlined reads and aging equal the named formulas bit for bit
+# ---------------------------------------------------------------------------
+
+_unit = st.floats(0, 1)
+_anchor = st.integers(0, 3_000).map(lambda t: t / 4)
+
+
+class TestInlinedFormulas:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_unit, _unit, _anchor), min_size=1, max_size=6),
+           st.integers(0, 8_000).map(lambda t: t / 4),
+           st.sampled_from([0.5, 0.9, 0.98]))
+    def test_reads_equal_prediction_times_power(self, recs, now, gamma):
+        params = EnergyParams(gamma=gamma)
+        t = EnergyTable(0, "C", params)
+        for i, (v, prev, anchor) in enumerate(recs):
+            t.inter[i + 1] = InterEnergyRecord(
+                peer=i + 1, value=v, prev_value=prev, last_aged_at=anchor)
+            t.intra[f"X{i}"] = IntraEnergyRecord(
+                community=f"X{i}", value=v, prev_value=prev, last_aged_at=anchor)
+        want = []
+        for i, (v, prev, anchor) in enumerate(recs):
+            f = gamma ** decay_windows(anchor, now, params.window)
+            inter = predict_inter(t.inter[i + 1], params.alpha) * f
+            intra = predict_intra(t.intra[f"X{i}"], params.beta) * f
+            assert t.effective_inter(i + 1, now) == inter
+            assert t.effective_intra(f"X{i}", now) == intra
+            want.append((i + 1, inter))
+        assert t.inter_summary(now) == want
+
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_unit, _unit, _anchor), min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(1, 9), _unit), max_size=8,
+                    unique_by=lambda e: e[0]),
+           st.integers(3_000, 8_000).map(lambda t: t / 4))
+    def test_transitive_fold_ages_like_age(self, recs, summary, now):
+        def build():
+            t = EnergyTable(0, "C", P)
+            t.inter[1] = InterEnergyRecord(peer=1, value=0.5, prev_value=0.5,
+                                           last_aged_at=now)
+            for i, (v, prev, anchor) in enumerate(recs):
+                t.inter[i + 2] = InterEnergyRecord(
+                    peer=i + 2, value=v, prev_value=prev, last_aged_at=anchor)
+            return t
+        got, want = build(), build()
+        got.update_transitive_inter(1, summary, now)
+        e_via = want.effective_inter(1, now)
+        for node, e_bc in summary:
+            if node == 1:
+                continue
+            rec = want.inter.setdefault(
+                node, InterEnergyRecord(peer=node, last_aged_at=now))
+            want.age(rec, now)
+            rec.value = rec.value + (1.0 - rec.value) * e_via * e_bc
+        assert ({k: astuple(r) for k, r in got.inter.items()}
+                == {k: astuple(r) for k, r in want.inter.items()})
 
 
 # ---------------------------------------------------------------------------

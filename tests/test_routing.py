@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prif import auth
+from prif.baselines import EpidemicRouter
 from prif.energy import EnergyParams
 from prif.model import ContactEvent, Message
 from prif.routing import (Action, AuthContext, Buffer, ForwardDecision,
@@ -14,7 +15,7 @@ from prif.routing import (Action, AuthContext, Buffer, ForwardDecision,
 
 from conftest import (link_sessions, make_plain_router, random_nonce,
                       set_inter, set_intra)
-from oracles import forwarding_reference
+from oracles import SetBufferNode, forwarding_reference
 
 NOW = 1000.0
 
@@ -197,28 +198,29 @@ class TestScheduling:
         plan = c.schedule_messages(peer, NOW)
         assert [m.msg_id for m in plan] == [1]
 
-    def test_eviction_is_reverse_of_schedule(self):
-        c = self._carrier()
-        rng = random.Random(5)
-        msgs = []
-        for i in range(40):
-            community = rng.choice(["D", "B1", "B2"])
-            msgs.append(msg(msg_id=i, destination=rng.choice([7, 8, 5]),
-                            dest_community=community,
-                            created_at=float(rng.randint(0, 500))))
-        schedule = c.schedule_order(msgs, NOW)
-        eviction = c.eviction_order(msgs, NOW)
-        assert eviction == list(reversed(schedule))
-
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["D", "B1", "B2"]),
-                              st.integers(0, 500), st.integers(5, 9)),
-                    min_size=1, max_size=30))
-    def test_duality_property(self, specs):
-        c = self._carrier()
-        msgs = [msg(msg_id=i, destination=d, dest_community=g, created_at=float(t))
-                for i, (g, t, d) in enumerate(specs)]
-        assert c.eviction_order(msgs, NOW) == list(reversed(c.schedule_order(msgs, NOW)))
+                              st.integers(0, 500), st.integers(5, 9),
+                              st.sampled_from([0.0, 0.25, 0.5])),
+                    min_size=1, max_size=30),
+           st.sampled_from([0.0, 0.5]))
+    def test_schedule_keys_never_tie(self, specs, intra):
+        """Eviction is the schedule reversed; that is exact only because no
+        two buffered copies share a schedule key, ties in community class,
+        energy and age included."""
+        c = make_plain_router(0, "D", capacity=1000)
+        for dest in range(5, 10):
+            set_inter(c, dest, 0.5, NOW)
+        set_intra(c, "B1", intra, NOW)
+        set_intra(c, "B2", intra, NOW)
+        msgs = []
+        for i, (g, t, d, held) in enumerate(specs):
+            msgs.append(msg(msg_id=i, destination=d, dest_community=g,
+                            created_at=float(t)))
+            if held:
+                set_inter(c, d, held, NOW)
+        keys = [c._schedule_key(m, None, NOW) for m in msgs]
+        assert len(set(keys)) == len(keys)
 
 
 class TestAdmission:
@@ -298,7 +300,7 @@ class TestDelivery:
         m = self._sealed_msg(dest)
         assert dest.accept_delivery(relay_copy(m)) is True
         assert dest.accept_delivery(relay_copy(m)) is False
-        assert m.msg_id in dest.delivered_ids
+        assert dest.knows_delivered(m.msg_id)
 
     def test_wrong_node_raises(self):
         dest = make_plain_router(9, "D")
@@ -335,7 +337,7 @@ class TestAntipackets:
         b = make_plain_router(1, "D")
         m = msg(msg_id=1)
         b.admit(m, NOW)
-        a.delivered_ids.add(1)
+        a.mark_delivered(1)
         dropped_a, dropped_b = a.exchange_antipackets(b)
         assert not dropped_a and [v.msg_id for v in dropped_b] == [1]
         assert 1 not in b.buffer
@@ -343,10 +345,12 @@ class TestAntipackets:
     def test_sets_union_both_ways(self):
         a = make_plain_router(0, "D")
         b = make_plain_router(1, "D")
-        a.delivered_ids.add(1)
-        b.delivered_ids.add(2)
+        a.mark_delivered(1)
+        b.mark_delivered(2)
         a.exchange_antipackets(b)
-        assert a.delivered_ids == b.delivered_ids == {1, 2}
+        for r in (a, b):
+            assert [r.knows_delivered(i) for i in range(4)] == [
+                False, True, True, False]
 
     def test_empty_sets_noop(self):
         a = make_plain_router(0, "D")
@@ -355,6 +359,98 @@ class TestAntipackets:
         dropped_a, dropped_b = a.exchange_antipackets(b)
         assert not dropped_a and not dropped_b
         assert 1 in b.buffer
+
+    def test_negative_id_rejected(self):
+        a = make_plain_router(0, "D")
+        with pytest.raises(ValueError):
+            a.knows_delivered(-1)
+        with pytest.raises(ValueError):
+            a.mark_delivered(-1)
+        assert a.delivered_mask == 0
+
+
+# ---------------------------------------------------------------------------
+# heap-backed buffers and bitmask delivery knowledge against the set-and-sort
+# reference
+# ---------------------------------------------------------------------------
+
+N_IDS = 12
+_KINDS = ["admit"] * 5 + ["tick", "tick", "expire", "drop", "drop", "mark",
+                          "gossip", "schedule"]
+_SIZES = [40, 90, 200, 450]
+_TTLS = [1.0, 2.0, 600.0, 600.0]
+# (kind, node, msg_id, size, age at admission, ttl_min, seconds to advance);
+# each kind reads the fields it needs
+_op = st.tuples(st.sampled_from(_KINDS), st.integers(0, 1),
+                st.integers(0, N_IDS - 1), st.sampled_from(_SIZES),
+                st.integers(0, 200), st.sampled_from(_TTLS),
+                st.integers(0, 90))
+
+
+def run_against_reference(ops):
+    """Apply ``ops`` to two routers and to two ``SetBufferNode``s, asserting
+    equal results and equal buffers and delivery knowledge after each."""
+    routers = [EpidemicRouter(0, 0, 1000), EpidemicRouter(1, 0, 1000)]
+    refs = [SetBufferNode(0, 1000), SetBufferNode(1, 1000)]
+    now = 10_000.0
+    for kind, n, mid, size, age, ttl, dt in ops:
+        r, ref = routers[n], refs[n]
+        if kind == "tick":
+            now += dt
+        elif kind == "admit":
+            if mid in ref.msgs:
+                continue
+            m = msg(msg_id=mid, size=size, created_at=now - age, ttl_min=ttl)
+            assert r.admit(m, now) == ref.admit(m, now)
+        elif kind == "expire":
+            assert r.pop_expired(now) == ref.pop_expired(now)
+        elif kind == "drop":
+            if mid in ref.msgs:
+                assert r.drop_copy(mid) == ref.drop_copy(mid)
+        elif kind == "mark":
+            assert r.mark_delivered(mid) == ref.mark_delivered(mid)
+        elif kind == "gossip":
+            assert (routers[0].exchange_antipackets(routers[1])
+                    == refs[0].exchange_antipackets(refs[1]))
+        else:
+            peer = routers[1 - n]
+            want = r.schedule_order(ref.candidates(refs[1 - n], now), now, peer)
+            assert r.schedule_messages(peer, now) == want
+        for r, ref in zip(routers, refs):
+            assert r.buffer.messages() == list(ref.msgs.values())
+            assert r.buffer.used_bytes == ref.used_bytes()
+            assert [r.knows_delivered(i) for i in range(N_IDS)] == [
+                i in ref.delivered_ids for i in range(N_IDS)]
+
+
+class TestBufferOracle:
+    """Random admit/expire/evict/gossip sequences give the same lists, in
+    the same order, as ``oracles.SetBufferNode``.  Ids are re-added after
+    eviction, expiry and drops, which leaves stale heap entries behind, and
+    TTLs of 1, 2 and 600 minutes share one buffer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_op, min_size=20, max_size=120))
+    def test_matches_set_and_sort_reference(self, ops):
+        run_against_reference(ops)
+
+    def test_oldest_first_breaks_ties_by_id_across_ttls(self):
+        r = EpidemicRouter(0, 0, 300)
+        r.admit(msg(msg_id=5, size=150, created_at=10.0, ttl_min=600.0), 20.0)
+        r.admit(msg(msg_id=3, size=150, created_at=10.0, ttl_min=2.0), 20.0)
+        _, evicted, _ = r.admit(msg(msg_id=7, size=150, created_at=20.0), 20.0)
+        assert [v.msg_id for v in evicted] == [3]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_sequences_match_reference(self, seed):
+        """Sequences long enough that stale entries pile up under live ones
+        and the heaps get rebuilt."""
+        rng = random.Random(seed)
+        run_against_reference(
+            (rng.choice(_KINDS), rng.randint(0, 1), rng.randrange(N_IDS),
+             rng.choice(_SIZES), rng.randint(0, 200), rng.choice(_TTLS),
+             rng.randint(0, 90))
+            for _ in range(3_000))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from prif.sim.engine import TRACE_KINDS, ReplayEngine, format_trace
 from prif.sim.scenario import ROUTERS
 from prif.sim.trace import assign_interests, build_contacts, build_plan
 
-from oracles import all_pairs_transitions, positions_at
+from oracles import (all_pairs_transitions, positions_at, reference_itineraries,
+                     reference_positions)
 
 MB = 1024 * 1024
 
@@ -210,6 +211,78 @@ class TestMobility:
         a = mobility.build_itineraries(*args, seed=4)
         b = mobility.build_itineraries(*args, seed=4)
         assert np.array_equal(a.t0, b.t0) and np.array_equal(a.x1, b.x1)
+
+
+# ---------------------------------------------------------------------------
+# the batched itinerary draws and plane-backed positions against their loops
+# ---------------------------------------------------------------------------
+
+LEG_FIELDS = ("leg_off", "t0", "x0", "y0", "x1", "y1", "vx", "vy", "tarr")
+
+
+def scenario_leg_args(sc):
+    speed_lo, speed_hi = sc.per_node_range("speed_range")
+    pause_lo, pause_hi = sc.per_node_range("pause_range")
+    return (sc.area, speed_lo, speed_hi, pause_lo, pause_hi, sc.duration,
+            trace.stream_seed(sc.seed, trace._STREAM_MOBILITY))
+
+
+class TestBuildOracles:
+    def _assert_same_legs(self, args):
+        want = reference_itineraries(*args)
+        got = mobility.build_itineraries(*args)
+        for f in LEG_FIELDS:
+            w, g = getattr(want, f), getattr(got, f)
+            assert g.dtype == w.dtype and np.array_equal(g, w), f
+        return got
+
+    def _assert_same_positions(self, legs, ticks):
+        pos = positions_at(legs, ticks)
+        assert np.array_equal(pos, reference_positions(legs, ticks))
+        assert pos[:, :, 0].flags.c_contiguous
+        assert pos[:, :, 1].flags.c_contiguous
+
+    def test_itineraries_and_positions_across_seeds_and_durations(self):
+        n = 40
+        shape = ((500.0, 400.0), np.full(n, 1.0), np.full(n, 9.0),
+                 np.full(n, 5.0), np.full(n, 20.0))
+        counts = set()
+        for duration in (10.0, 1500.0, 3000.0, 5000.0):
+            for seed in (0, 1, 2):
+                legs = self._assert_same_legs(shape + (duration, seed))
+                counts |= set(np.diff(legs.leg_off).tolist())
+                self._assert_same_positions(
+                    legs, np.arange(0.0, duration + 1.0, 3.0))
+        # nodes whose itinerary ends just before, at and after the end of
+        # the first batch of draws (16 legs) and of the second (16 + 32)
+        assert {1, 15, 16, 17, 47, 48, 49} <= counts
+
+    def test_positions_outside_the_legs_and_on_empty_legs(self):
+        # node 0 has a zero-length leg at t = 10 (equal starts: the later
+        # leg wins); node 1 starts late; ticks run before and after all legs
+        legs = mobility.LegArrays(
+            leg_off=np.array([0, 3, 5], dtype=np.int64),
+            t0=np.array([0.0, 10.0, 10.0, 4.0, 30.0]),
+            x0=np.array([0.0, 1.0, 2.0, 5.0, 6.0]),
+            y0=np.array([0.0, 1.0, 2.0, 5.0, 6.0]),
+            x1=np.array([1.0, 2.0, 3.0, 6.0, 7.0]),
+            y1=np.array([1.0, 2.0, 3.0, 6.0, 7.0]),
+            vx=np.array([0.5, 0.0, 0.25, 0.1, 0.2]),
+            vy=np.array([0.5, 0.0, 0.25, 0.1, 0.2]),
+            tarr=np.array([2.0, 10.0, 14.0, 14.0, 35.0]))
+        for ticks in (np.arange(-3.0, 50.0, 0.5), np.arange(40.0, 45.0),
+                      np.array([10.0]), np.empty(0)):
+            self._assert_same_positions(legs, ticks)
+
+    @pytest.mark.parametrize("preset,duration", [(desk_preset(), 45_000.0),
+                                                 (paper_preset(), 2_000.0)],
+                             ids=["desk-45000s", "paper-2000s"])
+    def test_presets(self, preset, duration):
+        sc = preset.with_overrides(duration=duration)
+        legs = self._assert_same_legs(scenario_leg_args(sc))
+        self._assert_same_positions(legs, np.arange(0.0, 8192.0, 1.0))
+        self._assert_same_positions(legs, np.arange(duration - 500.0,
+                                                    duration + 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
