@@ -123,6 +123,7 @@ class ProphetRouter(Router):
     """Forward to peers with strictly higher delivery predictability."""
 
     kind = "prophet"
+    contact_state = Router.contact_state + ("state", "_powers")
 
     def __init__(self, node: NodeId, community: int, capacity_bytes: int,
                  p_init: float = 0.75, beta_transitive: float = 0.25,

@@ -39,6 +39,8 @@ def _parse_list(text: str, conv):
         raise click.UsageError(f"cannot parse list {text!r}: {exc}")
     if not items:
         raise click.UsageError(f"empty list {text!r}")
+    if len(set(items)) != len(items):
+        raise click.UsageError(f"duplicate entry in list {text!r}")
     return items
 
 

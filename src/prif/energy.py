@@ -269,10 +269,14 @@ class EnergyTable:
         return e * self._powers[math.floor((now - anchor) / self.params.window)]
 
     def inter_summary(self, now: SimTime) -> list[tuple[NodeId, float]]:
-        """Snapshot of effective inter energies, exchanged during contacts."""
+        """Snapshot of effective inter energies, exchanged during contacts.
+
+        Entries come in the table's own order: the transitive fold treats
+        each entry on its own, so no reader can see the order.
+        """
         a, w, powers = self.params.alpha, self.params.window, self._powers
         out = []
-        for peer, rec in sorted(self.inter.items()):
+        for peer, rec in self.inter.items():
             e = a * rec.prev_value + (1.0 - a) * rec.value  # effective_inter
             anchor = rec.last_aged_at
             if now > anchor:

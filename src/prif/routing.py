@@ -284,12 +284,31 @@ class Router:
 
     gossips_antipackets = False
     cert: Optional[auth.Certificate] = None
+    # Instance attributes a lane twin shares: everything but the buffer and
+    # the delivery knowledge.
+    contact_state: tuple[str, ...] = ("node", "community")
 
     def __init__(self, node: NodeId, community: Hashable, capacity_bytes: int) -> None:
         self.node = node
         self.community = community
         self.buffer = Buffer(capacity_bytes)
         self.delivered_mask = 0
+
+    def lane(self, capacity_bytes: int) -> "Router":
+        """A twin for one lane of a lockstep replay (see ``sim.engine``).
+
+        It shares every attribute named in ``contact_state`` with this
+        router, and has its own empty ``buffer`` and ``delivered_mask``.
+        The twin is filled attribute by attribute: reading either object's
+        ``__dict__``, as ``copy.copy`` does, would make every later
+        attribute access on it slower.
+        """
+        twin = object.__new__(type(self))
+        for name in self.contact_state:
+            setattr(twin, name, getattr(self, name))
+        twin.buffer = Buffer(capacity_bytes)
+        twin.delivered_mask = 0
+        return twin
 
     def pseudo_identity(self) -> str:
         return self.cert.id if self.cert is not None else f"node-{self.node}"
@@ -396,6 +415,7 @@ class PrifRouter(Router):
 
     kind = "prif"
     gossips_antipackets = True
+    contact_state = Router.contact_state + ("cert", "auth_ctx", "sessions", "energy")
 
     def __init__(self, node: NodeId, community: Hashable,
                  cert: Optional[auth.Certificate], auth_ctx: Optional[AuthContext],

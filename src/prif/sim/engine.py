@@ -10,6 +10,21 @@ Event order is (time, kind priority) with contact starts before message
 creations before contact ends at equal times; remaining ties keep the
 trace's own order of contacts and plan entries.
 
+One pass over the event queue can replay several scenarios that differ only
+in ``buffer_bytes`` and ``ttl_min``, one *lane* each.  What a contact does
+apart from messages never reads message state: the setup and its
+``crypto_rng`` draws, the sessions it opens and the energy or predictability
+updates.  That is the *contact layer*, kept once: the engine's lead
+``routers``, ``crypto_rng`` and ``active`` contacts.  Each lane is a message
+layer with its own buffers, delivery knowledge, ledger and event list; its
+routers are ``Router.lane`` twins of the lead routers, sharing every piece of
+contact state.  Within a step the order is a one-lane replay's: a contact
+start runs the setup once and gives every lane the same outcome and frames;
+a contact end runs each lane's delivery notices and transfers, then the
+updates once; a creation seals once and gives each lane its own ``Message``.
+So each lane's report and events equal a replay of its scenario alone, and
+``run`` is a one-lane replay.
+
 A replay can append its events to a list as ``(t, kind, a, b, x)``: the
 ``TRACE_KINDS`` of the text trace (``x`` a message id), ``decide`` (``x`` =
 msg_id, action, reason) and ``frame`` (``x`` = the bytes ``a`` sent ``b``:
@@ -20,6 +35,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
+from typing import Sequence
 
 from .. import auth
 from ..baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
@@ -48,46 +64,17 @@ def format_trace(events: list[Event]) -> list[str]:
             for t, kind, a, b, x in events if kind in TRACE_KINDS]
 
 
-class ReplayEngine:
-    """One run: scenario + trace + router flavour -> metrics report."""
+class Lane:
+    """One scenario's message layer: buffers, delivery knowledge, ledger
+    and events, over routers that share the lead routers' contact state."""
 
-    def __init__(self, scenario: Scenario, trace: ContactTrace,
-                 events: list[Event] | None = None) -> None:
-        scenario.validate()
+    def __init__(self, scenario: Scenario, lead: dict[int, Router],
+                 events: list[Event] | None) -> None:
         self.scenario = scenario
-        self.trace = trace
-        self.events = events
+        self.routers = {node: r.lane(scenario.buffer_bytes)
+                        for node, r in lead.items()}
         self.ledger = MetricsLedger()
-        self.crypto_rng = random.Random(stream_seed(scenario.seed, _STREAM_CRYPTO))
-        self.routers = self._build_routers()
-        self.active: dict[tuple[int, int], tuple[bool, int, int]] = {}
-        self.link_rate = scenario.per_node("link_rate_bps")
-
-    # -- construction -----------------------------------------------------
-
-    def _build_routers(self) -> dict[int, Router]:
-        sc = self.scenario
-        interests = [int(i) for i in self.trace.interests]
-        if sc.router == "prif":
-            params = auth.TOY_PARAMS if sc.crypto == "toy" else auth.DEFAULT_PARAMS_2048
-            ta = auth.TrustAuthority(params, self.crypto_rng)
-            gids = [ta.create_group().gid for _ in range(max(interests) + 1)]
-            ctx = AuthContext(params, ta.rl, ta.directory())
-        make = {
-            "prif": lambda node, i: PrifRouter(
-                node, gids[i], ta.register(gids[i]), ctx, sc.energy,
-                sc.buffer_bytes),
-            "prif-noprivacy": lambda node, i: NoPrivacyPrifRouter(
-                node, i, sc.energy, sc.buffer_bytes),
-            "epidemic": lambda node, i: EpidemicRouter(node, i, sc.buffer_bytes),
-            "prophet": lambda node, i: ProphetRouter(
-                node, i, sc.buffer_bytes, p_init=sc.prophet_p_init,
-                beta_transitive=sc.prophet_beta, gamma_age=sc.prophet_gamma,
-                window=sc.energy.window),
-        }[sc.router]
-        return {node: make(node, i) for node, i in enumerate(interests)}
-
-    # -- event stream ---------------------------------------------------------
+        self.events = events
 
     def _emit(self, t: float, kind: str, a, b, x) -> None:
         if self.events is not None:
@@ -97,28 +84,6 @@ class ReplayEngine:
         self.ledger.on_copy_gone(copy, kind)
         self._emit(now, kind, node, None, copy.msg_id)
 
-    # -- event handlers ----------------------------------------------------------
-
-    def _on_create(self, plan_entry) -> None:
-        sc = self.scenario
-        p = plan_entry
-        dest_router = self.routers[p.destination]
-        sealed = seal_payload(p.token, dest_router.pseudo_identity(), p.nonce)
-        m = Message(msg_id=p.msg_id, source=p.source, destination=p.destination,
-                    dest_community=dest_router.community,
-                    size_bytes=p.size_bytes, created_at=p.t, ttl_min=sc.ttl_min,
-                    hop_count=0, payload=sealed)
-        self.ledger.on_create(m)
-        self._emit(p.t, "create", p.source, p.destination, p.msg_id)
-        src_router = self.routers[p.source]
-        admitted, evicted, purged = src_router.admit(m, p.t)
-        self._account_buffer_fallout(p.t, p.source, evicted, purged)
-        if admitted:
-            self.ledger.on_admit(m)
-        else:
-            self.ledger.on_reject(m)
-            self._emit(p.t, "reject", p.source, None, p.msg_id)
-
     def _account_buffer_fallout(self, now: float, node: int,
                                 evicted: list[Message], purged: list[Message]) -> None:
         for v in purged:
@@ -126,23 +91,24 @@ class ReplayEngine:
         for v in evicted:
             self._gone(now, node, v, "evict")
 
-    def _on_contact_start(self, c: ContactEvent) -> None:
-        ra, rb = self.routers[c.a], self.routers[c.b]
-        ok, frames_ab, frames_ba = ra.begin_contact(rb, c.start, self.crypto_rng)
-        cost_ab = cost_ba = 0
-        if self.scenario.charge_handshake_bytes:
-            cost_ab, cost_ba = sum(map(len, frames_ab)), sum(map(len, frames_ba))
-        self.active[(c.a, c.b)] = (ok, cost_ab, cost_ba)
-        events = self.events
-        if events is not None:
-            events.append((c.start, "contact_start", c.a, c.b, None))
-            events += [(c.start, "frame", c.a, c.b, f) for f in frames_ab]
-            events += [(c.start, "frame", c.b, c.a, f) for f in frames_ba]
-            events.append((c.start, "hs_ok" if ok else "hs_fail", c.a, c.b, None))
+    def create(self, p, dest_community, sealed: bytes) -> None:
+        m = Message(msg_id=p.msg_id, source=p.source, destination=p.destination,
+                    dest_community=dest_community, size_bytes=p.size_bytes,
+                    created_at=p.t, ttl_min=self.scenario.ttl_min,
+                    hop_count=0, payload=sealed)
+        self.ledger.on_create(m)
+        self._emit(p.t, "create", p.source, p.destination, p.msg_id)
+        admitted, evicted, purged = self.routers[p.source].admit(m, p.t)
+        self._account_buffer_fallout(p.t, p.source, evicted, purged)
+        if admitted:
+            self.ledger.on_admit(m)
+        else:
+            self.ledger.on_reject(m)
+            self._emit(p.t, "reject", p.source, None, p.msg_id)
 
-    def _on_contact_end(self, c: ContactEvent) -> None:
+    def contact_end(self, c: ContactEvent, ok: bool, budget_ab: float,
+                    budget_ba: float) -> None:
         ra, rb = self.routers[c.a], self.routers[c.b]
-        ok, cost_ab, cost_ba = self.active.pop((c.a, c.b))
         self._emit(c.end, "contact_end", c.a, c.b, None)
         if ok:
             now = c.end
@@ -151,11 +117,8 @@ class ReplayEngine:
                 for node, dropped in ((c.a, dropped_a), (c.b, dropped_b)):
                     for v in dropped:
                         self._gone(now, node, v, "anti")
-            rate = min(self.link_rate[c.a], self.link_rate[c.b])
-            budget = rate * c.duration / 8.0
-            self._transfer(ra, rb, budget - cost_ab, now)
-            self._transfer(rb, ra, budget - cost_ba, now)
-        ra.end_contact(rb, c)
+            self._transfer(ra, rb, budget_ab, now)
+            self._transfer(rb, ra, budget_ba, now)
 
     def _transfer(self, carrier, peer, budget: float, now: float) -> None:
         if budget <= 0:
@@ -205,9 +168,115 @@ class ReplayEngine:
             if v is not None:
                 self._gone(now, node, v, "anti")
 
+    def finish(self, end: float, axis: str, axis_value: float) -> MetricsReport:
+        """Expire what is left at the end of the run; the lane's report."""
+        for node, router in self.routers.items():
+            for v in router.pop_expired(end):
+                self._gone(end, node, v, "expire")
+        return self.ledger.finalize(self.scenario.router, self.scenario.seed,
+                                    axis, axis_value)
+
+
+# What lanes of one replay may differ in; everything else is contact layer.
+LANE_FIELDS = ("buffer_bytes", "ttl_min")
+
+
+class ReplayEngine:
+    """One pass over a trace: scenarios (one lane each) -> metrics reports.
+
+    ``events``, if given, holds one event list (or ``None``) per scenario.
+    """
+
+    def __init__(self, scenarios: Sequence[Scenario], trace: ContactTrace,
+                 events: Sequence[list[Event] | None] | None = None) -> None:
+        if not scenarios:
+            raise ValueError("a replay needs at least one scenario")
+        if events is None:
+            events = [None] * len(scenarios)
+        if len(events) != len(scenarios):
+            raise ValueError("one event list (or None) per scenario")
+        lead = scenarios[0]
+        same = {f: getattr(lead, f) for f in LANE_FIELDS}
+        for sc in scenarios:
+            sc.validate()
+            if sc.with_overrides(**same) != lead:
+                raise ValueError("the scenarios of one replay may differ only "
+                                 f"in {' and '.join(LANE_FIELDS)}")
+        self.scenario = lead
+        self.trace = trace
+        self.crypto_rng = random.Random(stream_seed(lead.seed, _STREAM_CRYPTO))
+        self.routers = self._build_routers()
+        self.active: dict[tuple[int, int], tuple[bool, float, float]] = {}
+        self.link_rate = lead.per_node("link_rate_bps")
+        self.lanes = [Lane(sc, self.routers, ev)
+                      for sc, ev in zip(scenarios, events)]
+        self._sinks = [ev for ev in events if ev is not None]
+
+    # -- construction -----------------------------------------------------
+
+    def _build_routers(self) -> dict[int, Router]:
+        sc = self.scenario
+        interests = [int(i) for i in self.trace.interests]
+        if sc.router == "prif":
+            params = auth.TOY_PARAMS if sc.crypto == "toy" else auth.DEFAULT_PARAMS_2048
+            ta = auth.TrustAuthority(params, self.crypto_rng)
+            gids = [ta.create_group().gid for _ in range(max(interests) + 1)]
+            ctx = AuthContext(params, ta.rl, ta.directory())
+        make = {
+            "prif": lambda node, i: PrifRouter(
+                node, gids[i], ta.register(gids[i]), ctx, sc.energy,
+                sc.buffer_bytes),
+            "prif-noprivacy": lambda node, i: NoPrivacyPrifRouter(
+                node, i, sc.energy, sc.buffer_bytes),
+            "epidemic": lambda node, i: EpidemicRouter(node, i, sc.buffer_bytes),
+            "prophet": lambda node, i: ProphetRouter(
+                node, i, sc.buffer_bytes, p_init=sc.prophet_p_init,
+                beta_transitive=sc.prophet_beta, gamma_age=sc.prophet_gamma,
+                window=sc.energy.window),
+        }[sc.router]
+        return {node: make(node, i) for node, i in enumerate(interests)}
+
+    # -- event handlers ----------------------------------------------------------
+
+    def _on_create(self, p) -> None:
+        dest_router = self.routers[p.destination]
+        sealed = seal_payload(p.token, dest_router.pseudo_identity(), p.nonce)
+        for lane in self.lanes:
+            lane.create(p, dest_router.community, sealed)
+
+    def _on_contact_start(self, c: ContactEvent) -> None:
+        ra, rb = self.routers[c.a], self.routers[c.b]
+        ok, frames_ab, frames_ba = ra.begin_contact(rb, c.start, self.crypto_rng)
+        cost_ab = cost_ba = 0
+        if self.scenario.charge_handshake_bytes:
+            cost_ab, cost_ba = sum(map(len, frames_ab)), sum(map(len, frames_ba))
+        rate = min(self.link_rate[c.a], self.link_rate[c.b])
+        budget = rate * c.duration / 8.0
+        self.active[(c.a, c.b)] = (ok, budget - cost_ab, budget - cost_ba)
+        if self._sinks:
+            started = [(c.start, "contact_start", c.a, c.b, None)]
+            started += [(c.start, "frame", c.a, c.b, f) for f in frames_ab]
+            started += [(c.start, "frame", c.b, c.a, f) for f in frames_ba]
+            started.append((c.start, "hs_ok" if ok else "hs_fail", c.a, c.b, None))
+            for events in self._sinks:
+                events += started
+
+    def _on_contact_end(self, c: ContactEvent) -> None:
+        ok, budget_ab, budget_ba = self.active.pop((c.a, c.b))
+        for lane in self.lanes:
+            lane.contact_end(c, ok, budget_ab, budget_ba)
+        self.routers[c.a].end_contact(self.routers[c.b], c)
+
     # -- main loop -------------------------------------------------------------
 
-    def run(self, axis: str = "none", axis_value: float = 0.0) -> MetricsReport:
+    def run(self, axis: str = "none",
+            axis_values: Sequence[float] | None = None) -> list[MetricsReport]:
+        """Replay the trace; one report per lane, labelled with ``axis`` and
+        that lane's entry of ``axis_values`` (0 for every lane if omitted)."""
+        if axis_values is None:
+            axis_values = [0.0] * len(self.lanes)
+        if len(axis_values) != len(self.lanes):
+            raise ValueError("one axis value per scenario")
         contacts, plan = self.trace.contacts, self.trace.plan
         queue = ([(c.start, 0, c) for c in contacts] + [(p.t, 1, p) for p in plan]
                  + [(c.end, 2, c) for c in contacts])
@@ -216,11 +285,8 @@ class ReplayEngine:
         for _, kind, payload in queue:
             handlers[kind](payload)
         end = self.trace.duration
-        for node, router in self.routers.items():
-            for v in router.pop_expired(end):
-                self._gone(end, node, v, "expire")
-        return self.ledger.finalize(self.scenario.router, self.scenario.seed,
-                                    axis, axis_value)
+        return [lane.finish(end, axis, value)
+                for lane, value in zip(self.lanes, axis_values)]
 
 
 def run(scenario: Scenario, *, events: list[Event] | None = None,
@@ -229,7 +295,7 @@ def run(scenario: Scenario, *, events: list[Event] | None = None,
     """Build (or reuse) the trace for a scenario and replay it."""
     if trace is None:
         trace = build_trace(scenario)
-    return ReplayEngine(scenario, trace, events).run(axis=axis, axis_value=axis_value)
+    return ReplayEngine([scenario], trace, [events]).run(axis, [axis_value])[0]
 
 
 SWEEP_AXES = ("buffer", "ttl", "time")
@@ -252,18 +318,20 @@ def apply_axis(scenario: Scenario, axis: str, value: float) -> Scenario:
 def _sweep_one_seed(args) -> list[tuple[MetricsReport, list[str] | None]]:
     scenario, routers, axis, values, seed, want_lines = args
     base = scenario.with_overrides(seed=seed)
+    # every value is a lane of one replay, except on the time axis, where
+    # each value has a trace of its own
+    groups = [[v] for v in values] if axis == "time" else [values]
     out = []
-    trace = None
-    for value in values:
-        sc = apply_axis(base, axis, value)
-        if trace is None or axis == "time":
-            trace = build_trace(sc)
+    for group in groups:
+        lanes = [apply_axis(base, axis, v) for v in group]
+        trace = build_trace(lanes[0])
         for router in routers:
-            events = [] if want_lines else None
-            rep = run(sc.with_overrides(router=router), trace=trace,
-                      events=events, axis=axis, axis_value=value)
-            # text only: frame bytes stay in this process
-            out.append((rep, None if events is None else format_trace(events)))
+            events = [[] if want_lines else None for _ in group]
+            engine = ReplayEngine([sc.with_overrides(router=router) for sc in lanes],
+                                  trace, events)
+            for rep, ev in zip(engine.run(axis, group), events):
+                # text only: frame bytes stay in this process
+                out.append((rep, None if ev is None else format_trace(ev)))
     return out
 
 
@@ -271,16 +339,21 @@ def run_sweep(scenario: Scenario, routers: list[str], axis: str,
               values: list[float], seeds: list[int], jobs: int = 1,
               trace_lines: dict[tuple[str, float, int], list[str]] | None = None,
               ) -> list[MetricsReport]:
-    """One independent run per (router, value, seed), sorted in that order.
+    """One run per (router, value, seed), sorted in that order.
 
-    Each seed's trace is built once and replayed for every router and axis
-    value; only the ``time`` axis rebuilds it per value.  Axis ``none``
-    (value 0) is a plain run.  Seeds are spread over at most ``jobs`` worker
-    processes.  If ``trace_lines`` is given, each run's event lines are
-    stored in it under (router, value, seed).
+    Each seed's trace is built once and replayed per router, with every
+    buffer or TTL value a lane of that one replay; only the ``time`` axis
+    rebuilds the trace and replays per value.  Axis ``none`` (value 0) is a
+    plain run.  Seeds are spread over at most ``jobs`` worker processes.  If
+    ``trace_lines`` is given, each run's event lines are stored in it under
+    (router, value, seed).  Duplicate routers, values or seeds are rejected:
+    their runs would share one report name.
     """
     if not (routers and values and seeds):
         raise ValueError("sweep needs at least one router, value and seed")
+    for name, items in (("router", routers), ("value", values), ("seed", seeds)):
+        if len(set(items)) != len(items):
+            raise ValueError(f"duplicate {name} in sweep: {list(items)}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [(scenario, routers, axis, values, seed, trace_lines is not None)

@@ -165,6 +165,22 @@ class TestRunCommand:
         assert "empty list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["--router", "prif,prif", "--sweep", "buffer", "--values", "2,2",
+         "--seeds", "3,3"],
+        ["--router", "prif,epidemic,prif"],
+        ["--sweep", "buffer", "--values", "2,2.0"],
+        ["--seeds", "3,4,3"],
+        ["--format", "csv,json,csv"]])
+    def test_duplicate_entry_is_usage_error(self, mini_config, tmp_path,
+                                            capsys, args):
+        """Duplicates would run twice and write one report over the other."""
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(mini_config), *args,
+                     "--out", str(out)]) == 1
+        assert "duplicate entry" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc", [routing.SealError("payload failed integrity check"),
                                      RuntimeError("payload failed integrity check")],
                              ids=["seal-error", "runtime-error"])

@@ -448,6 +448,29 @@ class TestSupport:
                                        last_encounter_end=0.0, last_aged_at=0.0)
         assert t.inter_summary(0.0) == [(5, pytest.approx(0.4))]
 
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(st.integers(1, 9), _unit, _unit, _anchor),
+                    max_size=6, unique_by=lambda r: r[0]),
+           st.lists(st.tuples(st.integers(0, 12), _unit), max_size=10,
+                    unique_by=lambda e: e[0]),
+           st.randoms(use_true_random=False),
+           st.integers(3_000, 8_000).map(lambda t: t / 4))
+    def test_fold_cannot_see_summary_order(self, recs, summary, rnd, now):
+        """``inter_summary`` lists entries in table order, unsorted: folding
+        a shuffled summary leaves records equal to folding the sorted one."""
+        def fold(entries):
+            t = EnergyTable(0, "C", P)
+            t.inter[1] = InterEnergyRecord(peer=1, value=0.5, prev_value=0.4,
+                                           last_aged_at=now - 100.0)
+            for node, v, prev, anchor in recs:
+                t.inter.setdefault(node, InterEnergyRecord(
+                    peer=node, value=v, prev_value=prev, last_aged_at=anchor))
+            t.update_transitive_inter(1, entries, now)
+            return t.inter
+        shuffled = list(summary)
+        rnd.shuffle(shuffled)
+        assert fold(shuffled) == fold(sorted(summary))
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             EnergyParams(alpha=1.5)

@@ -618,16 +618,20 @@ def digests(scenario):
             hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
+def mode_scenario(mode, **kw):
+    """The golden runs' scenario for an antipacket mode, ``forward-and-delete``
+    or ``charged`` (handshake bytes charged on the slow links)."""
+    if mode == "charged":
+        return slow_link_scenario(charge_handshake_bytes=True, **kw)
+    if mode == "forward-and-delete":
+        return mini_scenario(forward_and_delete=True, **kw)
+    return mini_scenario(antipacket_mode=mode, **kw)
+
+
 class TestGoldenDigest:
     @pytest.mark.parametrize("mode,router", sorted(GOLDEN))
     def test_report_and_trace_unchanged(self, mode, router):
-        if mode == "charged":
-            sc = slow_link_scenario(router=router, charge_handshake_bytes=True)
-        elif mode == "forward-and-delete":
-            sc = mini_scenario(router=router, forward_and_delete=True)
-        else:
-            sc = mini_scenario(router=router, antipacket_mode=mode)
-        assert digests(sc) == GOLDEN[(mode, router)]
+        assert digests(mode_scenario(mode, router=router)) == GOLDEN[(mode, router)]
 
     def test_charge_binds_for_prif(self):
         # uncharged, the same slow-link run relays fewer copies (604 vs 610)
@@ -665,15 +669,16 @@ class TestEventListGolden:
 
 def created_messages(scenario):
     """The engine and every message it created, in creation order."""
-    engine = ReplayEngine(scenario, build_trace(scenario))
+    engine = ReplayEngine([scenario], build_trace(scenario))
     created = []
-    on_create = engine.ledger.on_create
+    ledger = engine.lanes[0].ledger
+    on_create = ledger.on_create
 
     def record(m):
         created.append(m)
         on_create(m)
 
-    engine.ledger.on_create = record
+    ledger.on_create = record
     engine.run()
     return engine, created
 
@@ -741,6 +746,85 @@ class TestReadsAreUnobservable:
         assert reads
 
 
+# Lane values that bind in the mini scenario: buffers (MB) that reject,
+# evict or hold everything, TTLs (min) that expire copies or none.
+LANE_VALUES = {"buffer": [0.6, 1.0, 3.0], "ttl": [8.0, 20.0, 600.0]}
+# the slow-link messages are 200-2000 bytes
+SLOW_LANE_VALUES = {"buffer": [0.002, 0.005, 3.0], "ttl": [8.0, 20.0, 600.0]}
+
+# The router attributes each lane has its own of; every other instance
+# attribute must be named in the router's ``contact_state``.
+LANE_OWN = {"buffer", "delivered_mask"}
+
+
+class TestLanes:
+    @pytest.mark.parametrize("axis", ["buffer", "ttl"])
+    @pytest.mark.parametrize("router", ROUTERS)
+    @pytest.mark.parametrize("mode", ["gossip", "instant", "forward-and-delete",
+                                      "charged"])
+    def test_lockstep_equals_independent_runs(self, mode, router, axis):
+        sc = mode_scenario(mode, router=router)
+        values = (SLOW_LANE_VALUES if mode == "charged" else LANE_VALUES)[axis]
+        trace = build_trace(sc)
+        lanes = [apply_axis(sc, axis, v) for v in values]
+        events = [[] for _ in lanes]
+        reports = ReplayEngine(lanes, trace, events).run(axis, values)
+        outcomes = set()
+        for lane, value, rep, lane_events in zip(lanes, values, reports, events):
+            alone = []
+            want = run(lane, trace=trace, events=alone, axis=axis,
+                       axis_value=value)
+            assert rep.to_dict() == want.to_dict()
+            assert lane_events == alone
+            outcomes.add((rep.delivered, rep.expired, rep.dropped,
+                          rep.rejected, rep.relayed))
+        assert len(outcomes) > 1      # the values bind: the lanes differ
+
+    @pytest.mark.parametrize("router", ROUTERS)
+    def test_lane_routers_share_all_but_message_state(self, router):
+        sc = mini_scenario(router=router)
+        engine = ReplayEngine([sc, sc.with_overrides(buffer_bytes=MB)],
+                              build_trace(sc))
+        for node, lead in engine.routers.items():
+            twins = [lane.routers[node] for lane in engine.lanes]
+            shared = set(lead.contact_state)
+            # a new attribute is classified: shared, or one per lane
+            assert set(vars(lead)) == shared | LANE_OWN
+            assert not shared & LANE_OWN
+            for lane, twin in zip(engine.lanes, twins):
+                assert type(twin) is type(lead) and twin is not lead
+                assert set(vars(twin)) == set(vars(lead))
+                for name in shared:
+                    assert getattr(twin, name) is getattr(lead, name)
+                assert twin.buffer is not lead.buffer
+                assert twin.buffer.capacity_bytes == lane.scenario.buffer_bytes
+                assert twin.buffer.messages() == []
+                assert twin.delivered_mask == 0
+            assert twins[0].buffer is not twins[1].buffer
+
+    @pytest.mark.parametrize("override", [
+        {"seed": 6}, {"router": "epidemic"}, {"energy": EnergyParams(gamma=0.9)},
+        {"charge_handshake_bytes": True}],
+        ids=["seed", "router", "energy", "charge"])
+    def test_lanes_must_share_the_contact_layer(self, override):
+        sc = mini_scenario()
+        trace = build_trace(sc)
+        ReplayEngine([sc, sc.with_overrides(buffer_bytes=MB, ttl_min=30.0)], trace)
+        other = sc.with_overrides(buffer_bytes=MB, ttl_min=30.0, **override)
+        with pytest.raises(ValueError, match="differ only in buffer_bytes and ttl_min"):
+            ReplayEngine([sc, other], trace)
+
+    def test_one_axis_value_and_event_list_per_lane(self):
+        sc = mini_scenario()
+        trace = build_trace(sc)
+        with pytest.raises(ValueError, match="at least one"):
+            ReplayEngine([], trace)
+        with pytest.raises(ValueError, match="event list"):
+            ReplayEngine([sc, sc], trace, [None])
+        with pytest.raises(ValueError, match="axis value"):
+            ReplayEngine([sc, sc], trace).run("buffer", [3.0])
+
+
 class TestSweep:
     def test_single_value_single_report(self):
         reports = run_sweep(mini_scenario(), ["prif"], "buffer", [3.0], [5])
@@ -762,6 +846,37 @@ class TestSweep:
             r2 = run(apply_axis(mini_scenario(), "ttl", 600.0).with_overrides(
                 seed=5, router=r1.router), axis="ttl", axis_value=600.0)
             assert r1.to_dict() == r2.to_dict()
+
+    @pytest.mark.parametrize("axis,values,replays", [
+        ("buffer", [0.6, 3.0], 2), ("ttl", [8.0, 600.0], 2),
+        ("time", [1500.0, 2000.0], 4)])
+    def test_one_replay_per_router_and_seed(self, monkeypatch, axis, values,
+                                            replays):
+        """Buffer and TTL values are lanes of one replay per router; time
+        values replay one by one.  Each report equals a run of its own."""
+        lanes = []
+        replay = ReplayEngine.run
+
+        def counted(self, *args, **kw):
+            lanes.append(len(self.lanes))
+            return replay(self, *args, **kw)
+
+        monkeypatch.setattr(ReplayEngine, "run", counted)
+        sc = mini_scenario(duration=2000.0)
+        reports = run_sweep(sc, ["prif", "epidemic"], axis, values, [5])
+        assert len(lanes) == replays and sum(lanes) == len(reports) == 4
+        monkeypatch.setattr(ReplayEngine, "run", replay)
+        for r in reports:
+            alone = run(apply_axis(sc, axis, r.axis_value).with_overrides(
+                seed=5, router=r.router), axis=axis, axis_value=r.axis_value)
+            assert r.to_dict() == alone.to_dict()
+
+    @pytest.mark.parametrize("routers,values,seeds", [
+        (["prif", "prif"], [3.0], [5]), (["prif"], [3.0, 3.0], [5]),
+        (["prif"], [3.0], [5, 6, 5])], ids=["router", "value", "seed"])
+    def test_duplicates_rejected(self, routers, values, seeds):
+        with pytest.raises(ValueError, match="duplicate"):
+            run_sweep(mini_scenario(), routers, "buffer", values, seeds)
 
     def test_time_axis_changes_duration(self):
         reports = run_sweep(mini_scenario(), ["prif"], "time", [1000.0, 4000.0], [5])
