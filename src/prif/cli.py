@@ -16,7 +16,7 @@ from pathlib import Path
 import click
 
 from . import auth, routing
-from .sim.engine import SWEEP_AXES, TRACE_SCHEMA, run_sweep
+from .sim.engine import SWEEP_AXES, TRACE_SCHEMA, axis_label, run_sweep
 from .sim.metrics import MetricsReport
 from .sim.scenario import PRESETS, ROUTERS, scenario_from_ini
 
@@ -32,14 +32,15 @@ def cli() -> None:
 # run
 # ---------------------------------------------------------------------------
 
-def _parse_list(text: str, conv):
+def _parse_list(text: str, conv, key=None):
+    """Comma-separated items; two whose ``key`` is equal are duplicates."""
     try:
         items = [conv(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise click.UsageError(f"cannot parse list {text!r}: {exc}")
     if not items:
         raise click.UsageError(f"empty list {text!r}")
-    if len(set(items)) != len(items):
+    if len(set(map(key, items) if key else items)) != len(items):
         raise click.UsageError(f"duplicate entry in list {text!r}")
     return items
 
@@ -82,7 +83,9 @@ def cmd_run(config_path, preset, routers_opt, axis, values, seeds, out_dir,
         raise click.UsageError("--sweep and --values go together")
     if axis is not None and want_trace:
         raise click.UsageError("--trace applies to single runs only, not to --sweep")
-    value_list = _parse_list(values, float) if axis else [0.0]
+    # run_sweep rejects these too, but as a runtime error (exit 2)
+    value_list = (_parse_list(values, float, key=axis_label) if axis
+                  else [0.0])
     seed_list = _parse_list(seeds, int) if seeds else [scenario.seed]
     fmt_set = set(_parse_list(formats, str))
     if not fmt_set <= {"csv", "json"}:
@@ -102,7 +105,8 @@ def cmd_run(config_path, preset, routers_opt, axis, values, seeds, out_dir,
         click.echo(f"wrote {out / 'sweep.csv'} ({len(reports)} rows)")
     if "json" in fmt_set:
         for rep in reports:
-            name = f"run_{rep.router}_{rep.axis}-{rep.axis_value:g}_seed{rep.seed}.json"
+            name = (f"run_{rep.router}_{rep.axis}-{axis_label(rep.axis_value)}"
+                    f"_seed{rep.seed}.json")
             (out / name).write_text(
                 json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n")
         click.echo(f"wrote {len(reports)} JSON reports to {out}")
@@ -151,7 +155,7 @@ def cmd_plotdata(csv_paths, out_path) -> None:
                 vals = [float(r[metric]) for r in bucket]
                 mean = statistics.fmean(vals)
                 std = statistics.stdev(vals) if len(vals) > 1 else 0.0
-                writer.writerow([router, axis, f"{axis_value:g}", metric,
+                writer.writerow([router, axis, axis_label(axis_value), metric,
                                  repr(mean), repr(std), len(vals)])
     click.echo(f"wrote {out_path}")
 

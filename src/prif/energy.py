@@ -19,8 +19,9 @@ and then applies its update; a new record is anchored at ``now``.
 Every decay factor ``gamma ** k`` comes from one ``GammaPowers`` table per
 gamma, shared by every table in the process (and by PRoPHET's aging): each
 power is computed once and is the same float ``gamma ** k`` gives.  The
-reads inline ``predict_inter``/``predict_intra`` and the transitive fold
-inlines ``age``; the tests hold each inline copy to its named original.
+reads inline the moving average (``predict_inter``/``predict_intra`` in
+``tests/oracles.py``) and the transitive fold inlines ``age``; the tests
+hold each inline copy to its named original.
 Forwarding comparisons use strict ``>``: a tie is no evidence of improvement,
 so the carrier keeps the message.
 """
@@ -74,16 +75,6 @@ class IntraEnergyRecord:
     cumulative_count: int = 0
     first_encounter: SimTime = 0.0
     last_aged_at: SimTime = 0.0
-
-
-def predict_inter(rec: InterEnergyRecord, alpha: float) -> float:
-    """Moving-average prediction over the last two inter observations."""
-    return alpha * rec.prev_value + (1.0 - alpha) * rec.value
-
-
-def predict_intra(rec: IntraEnergyRecord, beta: float) -> float:
-    """Moving-average prediction over the last two intra observations."""
-    return beta * rec.prev_value + (1.0 - beta) * rec.value
 
 
 def decay_windows(anchor: SimTime, now: SimTime, window: float) -> int:

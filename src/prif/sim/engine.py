@@ -335,6 +335,12 @@ def _sweep_one_seed(args) -> list[tuple[MetricsReport, list[str] | None]]:
     return out
 
 
+def axis_label(value: float) -> str:
+    """An axis value as report names print it; values that print alike
+    would share one report name."""
+    return f"{value:g}"
+
+
 def run_sweep(scenario: Scenario, routers: list[str], axis: str,
               values: list[float], seeds: list[int], jobs: int = 1,
               trace_lines: dict[tuple[str, float, int], list[str]] | None = None,
@@ -346,12 +352,13 @@ def run_sweep(scenario: Scenario, routers: list[str], axis: str,
     rebuilds the trace and replays per value.  Axis ``none`` (value 0) is a
     plain run.  Seeds are spread over at most ``jobs`` worker processes.  If
     ``trace_lines`` is given, each run's event lines are stored in it under
-    (router, value, seed).  Duplicate routers, values or seeds are rejected:
-    their runs would share one report name.
+    (router, value, seed).  Duplicate routers or seeds, and values with one
+    ``axis_label``, are rejected: their runs would share one report name.
     """
     if not (routers and values and seeds):
         raise ValueError("sweep needs at least one router, value and seed")
-    for name, items in (("router", routers), ("value", values), ("seed", seeds)):
+    labels = [axis_label(v) for v in values]
+    for name, items in (("router", routers), ("value", labels), ("seed", seeds)):
         if len(set(items)) != len(items):
             raise ValueError(f"duplicate {name} in sweep: {list(items)}")
     if jobs < 1:

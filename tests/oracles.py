@@ -6,8 +6,9 @@ they can catch bookkeeping mistakes in the incremental implementations.
 The all-pairs contact scan is the reference the culled kernel must match;
 the per-leg itinerary loop, the per-node position fill and the set-and-sort
 buffer are the references for the batched, plane-backed and heap-backed
-versions.  ``positions_at`` samples leg arrays at arbitrary times for kernel
-tests.
+versions.  ``predict_inter``/``predict_intra`` are the moving average that
+the energy reads inline.  ``positions_at`` samples leg arrays at arbitrary
+times for kernel tests.
 """
 
 import math
@@ -16,6 +17,18 @@ import numpy as np
 
 from prif.model import message_is_expired
 from prif.sim import kernels, mobility
+
+
+def predict_inter(rec, alpha):
+    """Moving-average prediction over the last two inter observations, as
+    ``EnergyTable.effective_inter`` inlines it."""
+    return alpha * rec.prev_value + (1.0 - alpha) * rec.value
+
+
+def predict_intra(rec, beta):
+    """Moving-average prediction over the last two intra observations, as
+    ``EnergyTable.effective_intra`` inlines it."""
+    return beta * rec.prev_value + (1.0 - beta) * rec.value
 
 
 def inter_script_oracle(contacts, alpha, gamma, window, read_time):

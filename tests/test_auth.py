@@ -561,6 +561,107 @@ class TestFixedBaseAlpha:
         assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
+def edge_exponents(params):
+    """0, 1, q-1, q and exponents at and past the chain's reach, 16^n."""
+    q = params.q
+    top = 1 << (4 * -(-q.bit_length() // 4))
+    return (0, 1, 2, q - 1, q, q + 1, 2 * q, top - 1, top, top + 1)
+
+
+class TestPowerChain:
+    @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_chain_matches_pow(self, params, data):
+        p = params.p
+        base = data.draw(st.integers(0, p + 1), label="base")
+        x = data.draw(st.integers(0, 1 << 300), label="x")
+        chain = auth.power_chain(base, params)
+        for e in (x, *edge_exponents(params)):
+            assert auth.chain_pow(chain, e, p) == pow(base, e, p), e
+
+    def test_chain_entries_cover_q(self):
+        base = pow(BIG.alpha, 12345, BIG.p)
+        chain = auth.power_chain(base, BIG)
+        assert len(chain) == 64 and 16 ** len(chain) > BIG.q
+        assert all(c == pow(base, 16 ** i, BIG.p) for i, c in enumerate(chain))
+
+    def test_small_moduli_keep_the_builtin_pow(self):
+        assert auth.power_chain(5, TOY) == (5,)
+
+    def test_exponents_below_16_to_the_n_skip_powmod(self, monkeypatch):
+        """Every handshake exponent lies in [0, q], within a full chain's
+        reach; only other exponents fall back to ``powmod``."""
+        base = pow(BIG.alpha, 777, BIG.p)
+        chain = auth.power_chain(base, BIG)
+        fallbacks = []
+        monkeypatch.setattr(auth, "powmod",
+                            lambda b, e, m: fallbacks.append(e) or pow(b, e, m))
+        exponents = (*edge_exponents(BIG), -1, -BIG.q)
+        for e in exponents:
+            assert auth.chain_pow(chain, e, BIG.p) == pow(base, e, BIG.p)
+        assert fallbacks == [e for e in exponents if not 0 <= e < 1 << 256]
+        assert len(fallbacks) == 5  # 2q, 16^n, 16^n + 1, -1, -q
+
+    @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_verifier_base_chain_matches_pow(self, params, data):
+        group, c1, c2, rng = honest_pair(params, 17)
+        msg, _ = auth.handshake_round1(c2, "G", params, rng)
+        b = data.draw(st.integers(1, params.q - 1), label="b")
+        e = auth.h1_digest(params, msg.id, msg.Y)
+        chain = auth._verifier_base(params, group.y, e, msg.Y)
+        base = pow(group.y, e, params.p) * msg.Y % params.p
+        assert chain[0] == base
+        assert auth.chain_pow(chain, b, params.p) == pow(base, b, params.p)
+
+
+class TestRound2Order:
+    """Round 2 at 2048 bits: the secret s meets the peer's B only after B
+    has been shown to lie in the order-q subgroup."""
+
+    def record_exponents(self, monkeypatch):
+        seen = []
+        chain_pow, powmod = auth.chain_pow, auth.powmod
+        monkeypatch.setattr(auth, "chain_pow",
+                            lambda c, e, m: seen.append(e) or chain_pow(c, e, m))
+        monkeypatch.setattr(auth, "powmod",
+                            lambda b, e, m: seen.append(e) or powmod(b, e, m))
+        return seen
+
+    def test_honest_peer_checks_q_before_s(self, monkeypatch):
+        group, c1, c2, rng = honest_pair(BIG, 18)
+        own, _ = auth.handshake_round1(c1, "G", BIG, rng)
+        peer, _ = auth.handshake_round1(c2, "G", BIG, rng)
+        clear_auth_memos()
+        seen = self.record_exponents(monkeypatch)
+        _, rejected = auth.handshake_round2(c1, own, True, peer, RevocationList(),
+                                            BIG, rng)
+        assert not rejected
+        assert seen == [BIG.q, BIG.q, c1.s]  # Y's test, then B^q, then B^s
+
+    @pytest.mark.parametrize("field", ["Y", "B"])
+    def test_non_members_never_meet_the_secret(self, monkeypatch, field):
+        group, c1, c2, rng = honest_pair(BIG, 10)
+        own, _ = auth.handshake_round1(c1, "G", BIG, rng)
+        peer, _ = auth.handshake_round1(c2, "G", BIG, rng)
+        clear_auth_memos()
+        seen = self.record_exponents(monkeypatch)
+        for k, bad in enumerate(non_members(BIG)):
+            fields = {"gid": peer.gid, "id": peer.id, "Y": peer.Y, "B": peer.B,
+                      field: bad}
+            draws = random.Random(k)
+            msg2, rejected = auth.handshake_round2(
+                c1, own, True, HandshakeMsg1(**fields), RevocationList(), BIG,
+                draws)
+            want = random.Random(k)
+            tag = want.getrandbits(BIG.kappa).to_bytes(BIG.kappa // 8, "big")
+            assert rejected and msg2.h == tag, (field, bad)
+            assert draws.getstate() == want.getstate(), (field, bad)
+        assert seen and set(seen) == {BIG.q}
+
+
 class TestMemosAreInvisible:
     # SHA-256 over the outcomes and wire frames of fixed_world_transcripts
     # at toy and 2048 bits (seed 7), as computed with plain pow throughout

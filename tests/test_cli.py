@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,7 @@ from prif import routing
 from prif.cli import main
 from prif.sim import run, scenario_from_ini
 from prif.sim.engine import TRACE_SCHEMA, format_trace
+from prif.sim.scenario import ROUTERS
 
 MINI_INI = """\
 [scenario]
@@ -171,10 +175,12 @@ class TestRunCommand:
         ["--router", "prif,epidemic,prif"],
         ["--sweep", "buffer", "--values", "2,2.0"],
         ["--seeds", "3,4,3"],
-        ["--format", "csv,json,csv"]])
+        ["--format", "csv,json,csv"],
+        ["--sweep", "buffer", "--values", "2,2.0000001"]])
     def test_duplicate_entry_is_usage_error(self, mini_config, tmp_path,
                                             capsys, args):
-        """Duplicates would run twice and write one report over the other."""
+        """Duplicates would run twice and write one report over the other;
+        values that print alike share a report name."""
         out = tmp_path / "x"
         assert main(["run", "--config", str(mini_config), *args,
                      "--out", str(out)]) == 1
@@ -195,6 +201,23 @@ class TestRunCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err == "error: payload failed integrity check\n"
+
+    def test_output_does_not_depend_on_the_hash_seed(self, mini_config, tmp_path):
+        """str hashes are salted per process; a run of every router under two
+        hash seeds writes the same files, byte for byte."""
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / f"hashseed{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(sys.path)}
+            done = subprocess.run(
+                [sys.executable, "-m", "prif.cli", "run", "--config", str(mini_config),
+                 "--router", ",".join(ROUTERS), "--trace", "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 1 + 2 * len(ROUTERS)
+        assert outputs[0] == outputs[1]
 
     def test_sweep_needs_values(self, mini_config, tmp_path, capsys):
         code = main(["run", "--config", str(mini_config), "--sweep", "buffer",

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prif.energy import (EnergyParams, EnergyTable, InterEnergyRecord,
-                         IntraEnergyRecord, decay_windows, predict_inter,
-                         predict_intra)
+                         IntraEnergyRecord, decay_windows)
 from prif.model import ContactEvent
 
-from oracles import inter_script_oracle, intra_script_oracle, transitive_oracle
+from oracles import (inter_script_oracle, intra_script_oracle, predict_inter,
+                     predict_intra, transitive_oracle)
 
 P = EnergyParams(alpha=0.3, beta=0.3, gamma=0.98, window=30.0)
 

@@ -564,8 +564,8 @@ class TestRun:
 
 # Digests of the report JSON and of the event trace, pinned when the router
 # classes were merged onto one base.  Besides criterion 8's rerun check this
-# is the only byte-level guard on the instant anti-packet and
-# forward-and-delete branches of the engine.
+# is the only byte-level guard on the instant, off and forward-and-delete
+# anti-packet branches of the engine.
 GOLDEN = {
     ("gossip", "prif"): ("b547ae8807949424bcd8c2815873a04dff819b3fa2c95f0079d04b91e5aac97b",
                          "7fea3d9e76c50072fc0d7523da7f7d95b4001a486842a5d1e3ceabec5eb035a6"),
@@ -591,6 +591,16 @@ GOLDEN = {
                                          "4c2099fd440c4731fbac15c9e11ae23b90446cc0968bfe3939857fa285484a64"),
     ("forward-and-delete", "prophet"): ("53b7b72c264a4060e1104f918a4f1478cc9cd2a870deba45db166f7a706ea48a",
                                         "179fdda0c2d5099acf9f5510860aa4bf306e50f92af2e699f784986cd1cf05df"),
+    # no anti-packets: epidemic and PRoPHET gossip none in any mode, so
+    # their runs equal the gossip ones
+    ("off", "prif"): ("7819dc73b78aba2c38523d85101eca93b8e7c2b1e66649dc7f4bfb0cb1e1be9f",
+                      "9c999af00b736d778b03ac4fcf2ba83904c8e833912d8ea3ebac1094b1e26e00"),
+    ("off", "prif-noprivacy"): ("ba4a2d1b1ec2f55ad6cf2e05cf65446b1c6468cf348088e3a4670c476495b186",
+                                "9c999af00b736d778b03ac4fcf2ba83904c8e833912d8ea3ebac1094b1e26e00"),
+    ("off", "epidemic"): ("02c1cdc6a694f82b02f6ce2760d0cb46bdec42685c608b03473ef1ade1f47c20",
+                          "1d71667ac5cda5bd8fd2e29b2f2e3bbe889848e33f931d5b6a567be66761c9ff"),
+    ("off", "prophet"): ("6d727d490330dfee97d66a62e951463e9d7d80972c7e86270bcfe96fe8846157",
+                         "0f9e748d1b31676b760831f704e5221c91fc4ca178f289519e5d6b751b473be3"),
     # handshake bytes charged on 2 kbps links with 200-2000-byte messages,
     # where the charge binds for prif (see test_charge_binds_for_prif)
     ("charged", "prif"): ("d9c48190de41a61d8257e27b5d42118a67e70c498b50fdb624bda64e7851171f",
@@ -873,7 +883,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("routers,values,seeds", [
         (["prif", "prif"], [3.0], [5]), (["prif"], [3.0, 3.0], [5]),
-        (["prif"], [3.0], [5, 6, 5])], ids=["router", "value", "seed"])
+        (["prif"], [3.0], [5, 6, 5]), (["prif"], [2.0, 2.0000001], [5])],
+        ids=["router", "value", "seed", "value-printed-alike"])
     def test_duplicates_rejected(self, routers, values, seeds):
         with pytest.raises(ValueError, match="duplicate"):
             run_sweep(mini_scenario(), routers, "buffer", values, seeds)
