@@ -67,6 +67,9 @@ def _parse_list(text: str, conv, key=None):
 def cmd_run(config_path, preset, routers_opt, axis, values, seeds, out_dir,
             formats, jobs, want_trace) -> None:
     """Execute runs or sweeps and write reports."""
+    if config_path is not None and preset is not None:
+        raise click.UsageError("--config and --preset exclude each other; "
+                               "set 'preset =' in the INI to combine them")
     scenario = (scenario_from_ini(config_path) if config_path is not None
                 else PRESETS[preset or "desk"]())
 

@@ -45,13 +45,6 @@ class Message:
         if self.hop_count < 0:
             raise ValueError("hop count cannot be negative")
 
-    @property
-    def ttl_seconds(self) -> float:
-        return self.ttl_min * SECONDS_PER_MINUTE
-
-    def age(self, now: SimTime) -> float:
-        return now - self.created_at
-
 
 def message_is_expired(m: Message, now: SimTime) -> bool:
     """True iff the message age strictly exceeds its TTL.
@@ -59,7 +52,7 @@ def message_is_expired(m: Message, now: SimTime) -> bool:
     A message exactly at TTL age is still alive; the boundary rule is strict
     inequality and is relied on by buffer purging and metrics.
     """
-    return m.age(now) > m.ttl_seconds
+    return now - m.created_at > m.ttl_min * SECONDS_PER_MINUTE
 
 
 @dataclass(frozen=True)

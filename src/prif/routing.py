@@ -24,11 +24,12 @@ contacts so delivered copies drain out of buffers.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Hashable, Iterable, Optional
 
 from cryptography.exceptions import InvalidTag
@@ -140,16 +141,14 @@ def encode_message_header(m: Message, community_label: bytes) -> bytes:
 class Buffer:
     """Capacity-bounded message store preserving insertion order.
 
-    Next to the insertion-ordered copies it keeps, for each distinct
-    ``ttl_min``, a lazy-deletion heap of ``(created_at, msg_id, seq)``,
-    where ``seq`` numbers insertions; an entry whose ``seq`` is no longer
-    its id's live one is stale and skipped.  Under one TTL a copy has
-    expired iff the oldest one has (``now - created_at > ttl`` is monotone
-    in ``created_at``), so ``pop_expired`` stops at the first live copy and
-    returns ``[]`` without touching the rest.  Expired copies come back in
-    insertion order, and ``pop_oldest`` gives the oldest-first eviction
-    order, by ``(created_at, msg_id)``, from the same heaps.  A heap set
-    holding more than twice as many entries as live copies is rebuilt.
+    Every query scans the insertion-ordered copies: no preset buffer holds
+    more than a few dozen.  Two floats keep the expiry scan off the common
+    path: ``_oldest`` is at most every buffered ``created_at`` and
+    ``_shortest`` at most every ``ttl_min``.  ``add`` lowers them, each
+    expiry scan resets them from the survivors, and a removal leaves them
+    low, which costs at most a needless scan.  Float subtraction and
+    multiplication are monotone, so when ``maybe_expired`` is False no copy
+    is expired under ``message_is_expired``.
     """
 
     def __init__(self, capacity_bytes: int) -> None:
@@ -157,10 +156,9 @@ class Buffer:
             raise ValueError("buffer capacity must be positive")
         self.capacity_bytes = capacity_bytes
         self._msgs: dict[int, Message] = {}
-        self._seq: dict[int, int] = {}      # msg_id -> seq of the live copy
-        self._heaps: dict[float, list[tuple[SimTime, int, int]]] = {}
-        self._next_seq = 0
         self._used = 0
+        self._oldest = math.inf
+        self._shortest = math.inf
 
     def __contains__(self, msg_id: int) -> bool:
         return msg_id in self._msgs
@@ -180,78 +178,36 @@ class Buffer:
             raise ValueError("buffer overflow; evict before adding")
         self._msgs[mid] = m
         self._used += m.size_bytes
-        seq = self._seq[mid] = self._next_seq
-        self._next_seq = seq + 1
-        heap = self._heaps.get(m.ttl_min)
-        if heap is None:
-            heap = self._heaps[m.ttl_min] = []
-        heappush(heap, (m.created_at, mid, seq))
-        if sum(map(len, self._heaps.values())) > 2 * len(self._msgs):
-            self._compact()
+        if m.created_at < self._oldest:
+            self._oldest = m.created_at
+        if m.ttl_min < self._shortest:
+            self._shortest = m.ttl_min
 
     def remove(self, msg_id: int) -> Message:
         m = self._msgs.pop(msg_id)
-        del self._seq[msg_id]
         self._used -= m.size_bytes
         return m
 
-    def _compact(self) -> None:
-        """Rebuild the heaps from the live copies only."""
-        heaps: dict[float, list[tuple[SimTime, int, int]]] = {}
-        seqs = self._seq
-        for mid, m in self._msgs.items():
-            heaps.setdefault(m.ttl_min, []).append((m.created_at, mid, seqs[mid]))
-        for heap in heaps.values():
-            heapify(heap)
-        self._heaps = heaps
-
-    def _live_top(self, heap: list[tuple[SimTime, int, int]]):
-        """The heap's oldest live entry after dropping stale ones; None if
-        the heap holds none."""
-        seqs = self._seq
-        while heap:
-            top = heap[0]
-            if seqs.get(top[1]) == top[2]:
-                return top
-            heappop(heap)
-        return None
-
-    def any_expired(self, now: SimTime) -> bool:
-        """True iff some buffered copy has expired at ``now``; removes none."""
-        for ttl, heap in self._heaps.items():
-            top = self._live_top(heap)
-            # the float comparison message_is_expired makes
-            if top is not None and now - top[0] > ttl * SECONDS_PER_MINUTE:
-                return True
-        return False
+    def maybe_expired(self, now: SimTime) -> bool:
+        """False only if no buffered copy has expired at ``now``."""
+        return now - self._oldest > self._shortest * SECONDS_PER_MINUTE
 
     def pop_expired(self, now: SimTime) -> list[Message]:
         """Remove and return every expired copy, in insertion order."""
-        dead: list[tuple[int, int]] = []
-        for ttl, heap in self._heaps.items():
-            limit = ttl * SECONDS_PER_MINUTE
-            while True:
-                top = self._live_top(heap)
-                if top is None or not now - top[0] > limit:
-                    break
-                heappop(heap)
-                dead.append((top[2], top[1]))
-        if not dead:
+        if not self.maybe_expired(now):
             return []
-        dead.sort()
-        return [self.remove(mid) for _, mid in dead]
+        dead = [m for m in self._msgs.values() if message_is_expired(m, now)]
+        for m in dead:
+            self.remove(m.msg_id)
+        live = self._msgs.values()
+        self._oldest = min((m.created_at for m in live), default=math.inf)
+        self._shortest = min((m.ttl_min for m in live), default=math.inf)
+        return dead
 
     def pop_oldest(self) -> Message:
         """Remove and return the copy first by ``(created_at, msg_id)``."""
-        best = None
-        for heap in self._heaps.values():
-            top = self._live_top(heap)
-            if top is not None and (best is None or top < best[0]):
-                best = (top, heap)
-        if best is None:
-            raise KeyError("pop_oldest from an empty buffer")
-        heappop(best[1])
-        return self.remove(best[0][1])
+        oldest = min(self._msgs.values(), key=attrgetter("created_at", "msg_id"))
+        return self.remove(oldest.msg_id)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +285,7 @@ class Router:
 
     def evict_for(self, size_bytes: int, now: SimTime) -> list[Message]:
         """Evict until ``size_bytes`` more fit: oldest first, by
-        ``(created_at, msg_id)``, straight from the buffer's heaps."""
+        ``(created_at, msg_id)``."""
         buf = self.buffer
         evicted = []
         while buf.used_bytes + size_bytes > buf.capacity_bytes:
@@ -340,7 +296,7 @@ class Router:
         """Outbound plan for one contact: drop dead copies, skip what the
         peer already has or either side knows delivered, order the rest."""
         msgs = self.buffer.messages()
-        if self.buffer.any_expired(now):
+        if self.buffer.maybe_expired(now):
             msgs = [m for m in msgs if not message_is_expired(m, now)]
         held = peer.buffer
         known = self.delivered_mask | peer.delivered_mask

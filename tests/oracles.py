@@ -5,10 +5,10 @@ scalar loops over event scripts) instead of reusing any table machinery, so
 they can catch bookkeeping mistakes in the incremental implementations.
 The all-pairs contact scan is the reference the culled kernel must match;
 the per-leg itinerary loop, the per-node position fill and the set-and-sort
-buffer are the references for the batched, plane-backed and heap-backed
-versions.  ``predict_inter``/``predict_intra`` are the moving average that
-the energy reads inline.  ``positions_at`` samples leg arrays at arbitrary
-times for kernel tests.
+buffer are the references for the batched and plane-backed versions and for
+the buffer's expiry bound and eviction order.  ``predict_inter`` and
+``predict_intra`` are the moving average that the energy reads inline.
+``positions_at`` samples leg arrays at arbitrary times for kernel tests.
 """
 
 import math

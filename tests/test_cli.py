@@ -219,6 +219,16 @@ class TestRunCommand:
         assert len(outputs[0]) == 1 + 2 * len(ROUTERS)
         assert outputs[0] == outputs[1]
 
+    def test_config_with_preset_is_usage_error(self, mini_config, tmp_path,
+                                               capsys):
+        """Either one alone picks the scenario; a silently dropped --preset
+        would run a scenario the command line does not name."""
+        out = tmp_path / "x"
+        assert main(["run", "--config", str(mini_config), "--preset", "paper",
+                     "--out", str(out)]) == 1
+        assert "--preset" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_needs_values(self, mini_config, tmp_path, capsys):
         code = main(["run", "--config", str(mini_config), "--sweep", "buffer",
                      "--out", str(tmp_path / "x")])

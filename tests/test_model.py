@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from prif.model import ContactEvent, Message, message_is_expired
@@ -25,8 +27,11 @@ class TestExpiry:
         assert message_is_expired(m, 100.0) is False
 
     def test_ttl_minutes_convert_exactly(self):
-        assert make_msg(ttl_min=600.0).ttl_seconds == 36_000.0
-        assert make_msg(ttl_min=0.5).ttl_seconds == 30.0
+        half = make_msg(created_at=0.0, ttl_min=0.5)
+        assert message_is_expired(half, 30.0) is False
+        assert message_is_expired(half, math.nextafter(30.0, math.inf)) is True
+        assert message_is_expired(make_msg(created_at=0.0, ttl_min=600.0),
+                                  36_000.0) is False
 
 
 class TestMessage:
@@ -37,9 +42,6 @@ class TestMessage:
     def test_rejects_negative_hops(self):
         with pytest.raises(ValueError):
             make_msg(hop_count=-1)
-
-    def test_age(self):
-        assert make_msg(created_at=50.0).age(80.0) == 30.0
 
 
 class TestContactEvent:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from prif import auth
 from prif.baselines import EpidemicRouter
 from prif.energy import EnergyParams
-from prif.model import ContactEvent, Message
+from prif.model import ContactEvent, Message, message_is_expired
 from prif.routing import (Action, AuthContext, Buffer, ForwardDecision,
                           PrifRouter, Reason, SealError, encode_message_header,
                           relay_copy, seal_payload, unseal_payload)
@@ -370,8 +370,8 @@ class TestAntipackets:
 
 
 # ---------------------------------------------------------------------------
-# heap-backed buffers and bitmask delivery knowledge against the set-and-sort
-# reference
+# scanned buffers with an expiry bound and bitmask delivery knowledge
+# against the set-and-sort reference
 # ---------------------------------------------------------------------------
 
 N_IDS = 12
@@ -389,7 +389,8 @@ _op = st.tuples(st.sampled_from(_KINDS), st.integers(0, 1),
 
 def run_against_reference(ops):
     """Apply ``ops`` to two routers and to two ``SetBufferNode``s, asserting
-    equal results and equal buffers and delivery knowledge after each."""
+    equal results and equal buffers and delivery knowledge after each, and
+    that a buffer whose ``maybe_expired`` reads False holds no expired copy."""
     routers = [EpidemicRouter(0, 0, 1000), EpidemicRouter(1, 0, 1000)]
     refs = [SetBufferNode(0, 1000), SetBufferNode(1, 1000)]
     now = 10_000.0
@@ -421,13 +422,16 @@ def run_against_reference(ops):
             assert r.buffer.used_bytes == ref.used_bytes()
             assert [r.knows_delivered(i) for i in range(N_IDS)] == [
                 i in ref.delivered_ids for i in range(N_IDS)]
+            assert r.buffer.maybe_expired(now) or not any(
+                message_is_expired(m, now) for m in ref.msgs.values())
 
 
 class TestBufferOracle:
     """Random admit/expire/evict/gossip sequences give the same lists, in
     the same order, as ``oracles.SetBufferNode``.  Ids are re-added after
-    eviction, expiry and drops, which leaves stale heap entries behind, and
-    TTLs of 1, 2 and 600 minutes share one buffer."""
+    eviction, expiry and drops, and TTLs of 1, 2 and 600 minutes share one
+    buffer, so the expiry bound goes stale after removals and is reset by
+    later scans."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_op, min_size=20, max_size=120))
@@ -443,8 +447,8 @@ class TestBufferOracle:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_long_sequences_match_reference(self, seed):
-        """Sequences long enough that stale entries pile up under live ones
-        and the heaps get rebuilt."""
+        """Sequences long enough that every buffer fills, drains and refills
+        many times, with its expiry bound lowered, left stale and reset."""
         rng = random.Random(seed)
         run_against_reference(
             (rng.choice(_KINDS), rng.randint(0, 1), rng.randrange(N_IDS),

@@ -1,0 +1,161 @@
+#!/usr/bin/env python3
+"""Standing mutation check: every listed mutant must make its tests fail.
+
+    python tools/mutants.py
+
+Each entry in ``MUTANTS`` replaces one exact text in one file (the text must
+occur exactly once, so an entry that no longer matches the code is reported
+as stale rather than skipped) and names the pytest selection that should
+catch the change.  The script copies ``pyproject.toml``, ``src/`` and
+``tests/`` to a temporary directory once, applies each entry alone to that
+copy, runs only the entry's selection there, and restores the file.  The
+working tree is never written.
+
+A mutant whose selection still passes has *survived*.  The script exits 1 if
+any mutant survives that is not marked equivalent, if an equivalent one is
+caught (its reason no longer holds), or if an entry is stale or its
+selection cannot run.  Only the standard library is used, plus the pytest
+the test suite already needs.
+"""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("pyproject.toml", "src", "tests")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str                 # relative to the repository root
+    old: str                  # exact text, present exactly once
+    new: str
+    tests: tuple[str, ...]    # pytest node ids or paths
+    why: str
+    equivalent: Optional[str] = None   # why no test can catch it, if so
+
+
+# The oracle's fixed-seed tests: its hypothesis test catches the same
+# mutants, but can spend minutes shrinking a failing sequence.
+_BUFFER_ORACLE = (
+    "tests/test_routing.py::TestBufferOracle::"
+    "test_oldest_first_breaks_ties_by_id_across_ttls",
+    "tests/test_routing.py::TestBufferOracle::test_long_sequences_match_reference")
+_EXPIRY = ("tests/test_model.py::TestExpiry",)
+_ROUTING_AND_SIM = ("tests/test_routing.py", "tests/test_sim.py")
+
+MUTANTS = [
+    Mutant(
+        "shortest-ttl-as-max", "src/prif/routing.py",
+        "self._shortest = min((m.ttl_min for m in live), default=math.inf)",
+        "self._shortest = max((m.ttl_min for m in live), default=math.inf)",
+        _BUFFER_ORACLE,
+        "the expiry bound must use the shortest TTL held; the longest one "
+        "hides short-lived copies that have expired"),
+    Mutant(
+        "oldest-created-as-max", "src/prif/routing.py",
+        "self._oldest = min((m.created_at for m in live), default=math.inf)",
+        "self._oldest = max((m.created_at for m in live), default=math.inf)",
+        _BUFFER_ORACLE,
+        "the expiry bound must use the oldest copy held; the newest one "
+        "hides older copies that have expired"),
+    Mutant(
+        "pop-oldest-without-id-tiebreak", "src/prif/routing.py",
+        'key=attrgetter("created_at", "msg_id")',
+        'key=attrgetter("created_at")',
+        _BUFFER_ORACLE,
+        "eviction breaks created_at ties by msg_id, not by insertion order"),
+    Mutant(
+        "pop-expired-by-created-at", "src/prif/routing.py",
+        "        return dead\n",
+        '        return sorted(dead, key=attrgetter("created_at"))\n',
+        _BUFFER_ORACLE,
+        "expired copies come back in insertion order, which fixes the order "
+        "of their events"),
+    Mutant(
+        "expired-at-ttl-age", "src/prif/model.py",
+        "now - m.created_at > m.ttl_min * SECONDS_PER_MINUTE",
+        "now - m.created_at >= m.ttl_min * SECONDS_PER_MINUTE",
+        _EXPIRY,
+        "a copy exactly at its TTL age is still alive"),
+    Mutant(
+        "no-expiry-early-out", "src/prif/routing.py",
+        "        if not self.maybe_expired(now):\n            return []\n",
+        "",
+        _ROUTING_AND_SIM,
+        "the early-out in pop_expired only skips a scan that finds nothing",
+        equivalent="without it every call scans; the scan finds the same "
+                   "copies, so only speed changes"),
+    Mutant(
+        "no-bound-reset-after-scan", "src/prif/routing.py",
+        "        live = self._msgs.values()\n"
+        "        self._oldest = min((m.created_at for m in live), default=math.inf)\n"
+        "        self._shortest = min((m.ttl_min for m in live), default=math.inf)\n",
+        "",
+        _ROUTING_AND_SIM,
+        "resetting the bound after a scan keeps later early-outs possible",
+        equivalent="without it the bound only goes down, which errs toward "
+                   "scanning; results are the same, only speed changes"),
+]
+
+
+def run_mutant(m: Mutant, tree: Path) -> tuple[str, float]:
+    """Apply ``m`` to the copy at ``tree``, run its tests, restore the file.
+
+    Returns the outcome ('killed', 'survived', 'stale' or 'error: ...') and
+    the test time in seconds."""
+    path = tree / m.file
+    original = path.read_text()
+    if original.count(m.old) != 1:
+        return f"stale: old text occurs {original.count(m.old)} times", 0.0
+    path.write_text(original.replace(m.old, m.new))
+    try:
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *m.tests],
+            cwd=tree, capture_output=True, text=True)
+        elapsed = time.perf_counter() - start
+    finally:
+        path.write_text(original)
+    if done.returncode == 0:
+        return "survived", elapsed
+    if done.returncode == 1:
+        return "killed", elapsed
+    tail = (done.stdout + done.stderr).strip().splitlines()[-1:]
+    return f"error: pytest exit {done.returncode} {' '.join(tail)}", elapsed
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, tree / name)
+        for m in MUTANTS:
+            outcome, secs = run_mutant(m, tree)
+            ok = outcome == ("survived" if m.equivalent else "killed")
+            bad += not ok
+            note = f" (equivalent: {m.equivalent})" if m.equivalent else ""
+            print(f"{'ok ' if ok else 'BAD'} {m.name}: {outcome} "
+                  f"in {secs:.1f} s{note}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} as expected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
