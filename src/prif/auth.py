@@ -55,9 +55,10 @@ draw depends on them or on whether a memo is warm:
   verifier base y^e * Y keyed on e = H1(id, Y), whichever H1 computed it.
   Each holds up to 256 entries; a 2048-bit chain is 64 integers of about
   300 bytes, so the full chain memo holds about 5 MB;
-* a round-1 message encodes itself once (``HandshakeMsg1.encoded``), and
-  its wire prefix (tag, gid, id and Y frames) is memoised per credential,
-  so only the fresh B is framed per contact;
+* a round-1 message encodes itself once, at construction
+  (``HandshakeMsg1.encoded``), and its wire prefix (tag, gid, id and Y
+  frames) is memoised per credential, so only the fresh B is framed per
+  contact;
 * ``SystemParams`` and ``Certificate`` hash their fields once, at
   construction, since they key most of the memo lookups of a handshake.
 
@@ -75,7 +76,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable
 
 
@@ -212,11 +213,13 @@ class HandshakeMsg1:
     id: str
     Y: int
     B: int
+    # wire bytes, encoded once at construction and shared by the codec and
+    # the session id
+    encoded: bytes = field(init=False, repr=False, compare=False)
 
-    @functools.cached_property
-    def encoded(self) -> bytes:
-        """Wire bytes, encoded once and shared by the codec and session id."""
-        return _msg1_prefix(self.gid, self.id, self.Y) + _frame(int_to_bytes(self.B))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "encoded", _msg1_prefix(self.gid, self.id, self.Y)
+                           + _frame(int_to_bytes(self.B)))
 
 
 @dataclass(frozen=True)

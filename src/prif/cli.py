@@ -345,7 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except click.Abort:
         return 1
-    except (ValueError, KeyError, OSError, RuntimeError,
+    except (ValueError, KeyError, OSError, OverflowError, RuntimeError,
             routing.SealError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2

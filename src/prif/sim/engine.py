@@ -34,7 +34,6 @@ setup frames, then a header and a payload per transfer).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import Sequence
 
 from .. import auth
@@ -367,6 +366,8 @@ def run_sweep(scenario: Scenario, routers: list[str], axis: str,
              for seed in seeds]
     workers = min(jobs, len(seeds))
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which a serial run skips
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_sweep_one_seed, tasks))
     else:

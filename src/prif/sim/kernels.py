@@ -89,7 +89,10 @@ def transitions(pos: np.ndarray, minr2: np.ndarray, adj: np.ndarray,
     Per block of ``chunk`` ticks, a pair is tested only if it is adjacent
     at the block's start or the nodes' bounding boxes over the block come
     within the pair's range plus slack; no other pair can be in range at
-    any tick of the block.
+    any tick of the block.  The boxes' x gap is checked over all pairs
+    first and the full box test runs on the pairs that pass it.  That cull
+    is conservative too: a pair in range at a tick is at most its range
+    apart in x then, and ``reach`` exceeds the range by the slack.
     """
     n_ticks, n_nodes, _ = pos.shape
     pi, pj = np.triu_indices(n_nodes, k=1)
@@ -106,9 +109,12 @@ def transitions(pos: np.ndarray, minr2: np.ndarray, adj: np.ndarray,
         bx, by = xs[c0:c0 + chunk], ys[c0:c0 + chunk]
         xlo, xhi = bx.min(axis=0), bx.max(axis=0)
         ylo, yhi = by.min(axis=0), by.max(axis=0)
-        gx = np.maximum(np.maximum(xlo[pj] - xhi[pi], xlo[pi] - xhi[pj]), 0.0)
-        gy = np.maximum(np.maximum(ylo[pj] - yhi[pi], ylo[pi] - yhi[pj]), 0.0)
-        cand = np.flatnonzero((gx * gx + gy * gy <= reach2) | prev)
+        near = np.flatnonzero((xlo[pj] - xhi[pi] <= reach)
+                              & (xlo[pi] - xhi[pj] <= reach) | prev)
+        a, b = pi[near], pj[near]
+        gx = np.maximum(np.maximum(xlo[b] - xhi[a], xlo[a] - xhi[b]), 0.0)
+        gy = np.maximum(np.maximum(ylo[b] - yhi[a], ylo[a] - yhi[b]), 0.0)
+        cand = near[(gx * gx + gy * gy <= reach2[near]) | prev[near]]
         ci, cj = pi[cand], pj[cand]
         dx = bx[:, ci] - bx[:, cj]
         dy = by[:, ci] - by[:, cj]

@@ -45,66 +45,69 @@ def build_itineraries(area: tuple[float, float],
     """Sample every node's itinerary covering [0, duration].
 
     Per-node child streams keep one node's path independent of how many
-    other nodes exist.  Draw order is start x, start y, then per leg
-    waypoint x, waypoint y, speed, pause.
-    """
-    width, height = area
-    n_nodes = speed_lo.shape[0]
-    streams = np.random.SeedSequence(seed).spawn(n_nodes)
-    offs = [0]
-    parts: list[list[np.ndarray]] = []
-    for n in range(n_nodes):
-        rng = np.random.default_rng(streams[n])
-        x = rng.uniform(0.0, width)
-        y = rng.uniform(0.0, height)
-        lo = np.array([0.0, 0.0, speed_lo[n], pause_lo[n]])
-        span = np.array([width, height, speed_hi[n], pause_hi[n]]) - lo
-        t = 0.0
-        batch = _FIRST_BATCH
-        n_legs = 0
-        while True:
-            *cols, t_end = _leg_batch(rng, batch, lo, span, x, y, t)
-            past = np.flatnonzero(t_end > duration)
-            if past.shape[0]:
-                # the first leg ending past the horizon is the last one
-                parts.append([c[:past[0] + 1] for c in cols])
-                n_legs += int(past[0]) + 1
-                break
-            parts.append(cols)
-            n_legs += batch
-            x, y, t = float(cols[3][-1]), float(cols[4][-1]), float(t_end[-1])
-            batch *= 2
-        offs.append(offs[-1] + n_legs)
-    return LegArrays(np.asarray(offs, dtype=np.int64),
-                     *(np.concatenate(c) for c in zip(*parts)))
-
-
-def _leg_batch(rng: np.random.Generator, k: int, lo: np.ndarray,
-               span: np.ndarray, x: float, y: float,
-               t: float) -> tuple[np.ndarray, ...]:
-    """The next ``k`` legs from (x, y) at time t: the LegArrays columns
-    t0 .. tarr, then each leg's end (arrival plus pause), where the next
-    leg starts.
+    other nodes exist.  Each node draws start x, start y, then per leg
+    waypoint x, waypoint y, speed, pause, in batches of 16, 32, 64, ...
+    legs until one ends past the horizon; that leg is its last.  The draws
+    stay per node, in that order and those batch sizes; only the arithmetic
+    on them runs once per round for every node still short of the horizon.
 
     ``lo + span * u`` over ``rng.random`` is the float ``rng.uniform(lo,
     hi)`` gives for the same draw, and ``np.add.accumulate`` adds left to
-    right, so the times equal ``t = t + travel + pause`` leg by leg.
+    right along each node's row, so the times equal ``t = t + travel +
+    pause`` leg by leg.
     """
-    wx, wy, v, pause = (lo + span * rng.random((k, 4))).T
-    x0 = np.concatenate(([x], wx[:-1]))
-    y0 = np.concatenate(([y], wy[:-1]))
-    dx, dy = wx - x0, wy - y0
-    dist = np.array([math.hypot(a, b) for a, b in zip(dx.tolist(), dy.tolist())])
-    travel = dist / v
-    moving = travel > 0.0
-    vx = np.divide(dx, travel, out=np.zeros(k), where=moving)
-    vy = np.divide(dy, travel, out=np.zeros(k), where=moving)
-    steps = np.empty(2 * k + 1)
-    steps[0] = t
-    steps[1::2] = travel
-    steps[2::2] = pause
-    clock = np.add.accumulate(steps)
-    return (clock[0:-1:2], x0, y0, wx, wy, vx, vy, clock[1::2], clock[2::2])
+    width, height = area
+    n_nodes = speed_lo.shape[0]
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(n_nodes)]
+    # the start point and the first batch in one draw per node; the start
+    # is ``rng.uniform(0, side)``, which is ``side * u`` for the same draw
+    first = np.stack([r.random(2 + 4 * _FIRST_BATCH) for r in rngs])
+    x, y = (np.array([width, height]) * first[:, :2]).T
+    u = first[:, 2:].reshape(n_nodes, _FIRST_BATCH, 4)
+    t = np.zeros(n_nodes)
+    zero = np.zeros(n_nodes)
+    lo = np.stack((zero, zero, speed_lo, pause_lo), axis=1)
+    span = np.stack((zero + width, zero + height, speed_hi, pause_hi), axis=1) - lo
+    node = np.arange(n_nodes)      # nodes whose last leg is still to come
+    owners: list[np.ndarray] = []
+    parts: list[list[np.ndarray]] = []
+    batch = _FIRST_BATCH
+    while True:
+        wx, wy, v, pause = np.moveaxis(lo[node, None] + span[node, None] * u, 2, 0)
+        x0 = np.concatenate((x[:, None], wx[:, :-1]), axis=1)
+        y0 = np.concatenate((y[:, None], wy[:, :-1]), axis=1)
+        dx, dy = wx - x0, wy - y0
+        dist = list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist()))
+        travel = np.reshape(dist, dx.shape) / v
+        moving = travel > 0.0
+        vx = np.divide(dx, travel, out=np.zeros_like(dx), where=moving)
+        vy = np.divide(dy, travel, out=np.zeros_like(dy), where=moving)
+        steps = np.empty((node.size, 2 * batch + 1))
+        steps[:, 0] = t
+        steps[:, 1::2] = travel
+        steps[:, 2::2] = pause
+        clock = np.add.accumulate(steps, axis=1)
+        t_end = clock[:, 2::2]
+        past = t_end > duration
+        done = past.any(axis=1)
+        n_legs = np.where(done, past.argmax(axis=1) + 1, batch)
+        kept = np.arange(batch) < n_legs[:, None]
+        owners.append(np.repeat(node, n_legs))
+        parts.append([c[kept] for c in (clock[:, 0:-1:2], x0, y0, wx, wy,
+                                         vx, vy, clock[:, 1::2])])
+        go = ~done
+        node, x, y, t = node[go], wx[go, -1], wy[go, -1], t_end[go, -1]
+        if not node.size:
+            break
+        batch *= 2
+        u = np.stack([rngs[n].random((batch, 4)) for n in node.tolist()])
+    # rounds hold each node's legs in order; a stable sort makes them CSR
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    leg_off = np.zeros(n_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n_nodes), out=leg_off[1:])
+    return LegArrays(leg_off, *(np.concatenate(c)[order] for c in zip(*parts)))
 
 
 def min_range_matrix(radio_range: np.ndarray) -> np.ndarray:

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,9 @@ class GroupSpec:
     generates_messages: bool = True
 
     def validate(self) -> None:
+        if not all(map(math.isfinite, (*self.speed_range, *self.pause_range,
+                                       self.radio_range, self.link_rate_bps))):
+            raise ValueError(f"group {self.name!r}: numbers must be finite")
         if self.count <= 0:
             raise ValueError(f"group {self.name!r}: count must be positive")
         if not 0.0 < self.speed_range[0] <= self.speed_range[1]:
@@ -76,6 +80,13 @@ class Scenario:
             raise ValueError("scenario needs at least one node group")
         for g in self.groups:
             g.validate()
+        # NaN passes every `<= 0` check below; an infinite horizon never ends
+        if not all(map(math.isfinite, (
+                *self.area, *self.message_interval, *self.message_size,
+                self.ttl_min, self.buffer_bytes, self.duration, self.warmup,
+                self.prophet_p_init, self.prophet_beta, self.prophet_gamma,
+                self.mobility_dt, *astuple(self.energy)))):
+            raise ValueError("scenario numbers must be finite")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError("area must be positive in both dimensions")
         if self.interests <= 0:

@@ -95,14 +95,12 @@ def build_contacts(scenario: Scenario) -> tuple[list[ContactEvent], int]:
                                 legs.tarr, ticks)
         tt, ii, jj, started, adj = kernels.transitions(pos, minr2, adj)
         del pos   # freed before the next block is allocated: one block at a time
-        for k in range(tt.shape[0]):
-            t = float(ticks[tt[k]])
-            pair = (int(ii[k]), int(jj[k]))
-            if started[k]:
-                open_since[pair] = t
+        for t, i, j, s in zip(ticks[tt].tolist(), ii.tolist(), jj.tolist(),
+                              started.tolist()):
+            if s:
+                open_since[i, j] = t
             else:
-                contacts.append(ContactEvent(pair[0], pair[1],
-                                             open_since.pop(pair), t))
+                contacts.append(ContactEvent(i, j, open_since.pop((i, j)), t))
     n_truncated = 0
     for pair, t_start in sorted(open_since.items()):
         if t_start < scenario.duration:

@@ -61,5 +61,5 @@ def pool_sizes(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr("prif.sim.engine.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
     return sizes

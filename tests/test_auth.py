@@ -766,10 +766,13 @@ class TestMemosAreInvisible:
 
     def test_msg1_encodes_once(self, monkeypatch):
         msg = HandshakeMsg1(gid="GA", id="ui", Y=16, B=18)
-        first = auth.encode_msg1(msg)
+        twin = HandshakeMsg1(gid="GA", id="ui", Y=16, B=18)
         monkeypatch.setattr(auth, "int_to_bytes", None)
+        monkeypatch.setattr(auth, "_msg1_prefix", None)
+        first = auth.encode_msg1(msg)
         assert auth.encode_msg1(msg) is first
-        assert msg == HandshakeMsg1(gid="GA", id="ui", Y=16, B=18)
+        assert msg == twin and hash(msg) == hash(twin)
+        assert repr(msg) == "HandshakeMsg1(gid='GA', id='ui', Y=16, B=18)"
 
     @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
     def test_verifier_base_memo_follows_the_digest(self, params):

@@ -242,6 +242,19 @@ class TestRunCommand:
         assert "--trace" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis,value", [("ttl", "nan"), ("ttl", "inf"),
+                                            ("buffer", "nan"), ("buffer", "inf")])
+    def test_non_finite_sweep_value_is_error(self, mini_config, tmp_path,
+                                             capsys, axis, value):
+        """A NaN TTL once ran and wrote ``"axis_value": NaN``, which is not
+        JSON; no report may come out of a value that is not a number."""
+        out = tmp_path / "x"
+        code = main(["run", "--config", str(mini_config), "--sweep", axis,
+                     "--values", value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_bad_antipacket_mode_rejected_at_load(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text(MINI_INI.replace("router = prif\n",

@@ -142,6 +142,54 @@ class TestKernels:
                                       np.zeros((2, 2), bool), chunk=4)
         assert got[0].tolist() == [7, 8] and got[3].tolist() == [True, False]
 
+    def test_pairs_level_in_x_but_apart_in_y(self):
+        """Nodes 1 and 2 share node 0's x-band but sit 500 m off in y: the
+        x test keeps those pairs and the box test drops them, until node 2
+        comes down to node 0 at tick 9."""
+        pos = np.zeros((12, 3, 2))
+        pos[:, 1] = (0.0, 500.0)
+        pos[:, 2] = (3.0, 500.0)
+        pos[9:, 2] = (3.0, 4.0)
+        got = assert_same_transitions(pos, np.full((3, 3), 100.0),
+                                      np.zeros((3, 3), bool), chunk=4)
+        assert got[0].tolist() == [0, 9, 9]
+        assert list(zip(got[1].tolist(), got[2].tolist())) == [(1, 2), (0, 2),
+                                                               (1, 2)]
+        assert got[3].tolist() == [True, True, False]
+
+    def test_adjacent_pairs_that_separate_along_either_axis(self):
+        """Adjacent at a block's start, then apart for the whole block along
+        x (node 1) or along y (node 2): each contact still ends, whether the
+        adjacency comes from the previous block or from the caller."""
+        pos = np.zeros((8, 3, 2))
+        pos[:, 1] = (500.0, 0.0)
+        pos[:4, 1] = (5.0, 0.0)
+        pos[:, 2] = (0.0, 500.0)
+        pos[:4, 2] = (0.0, 5.0)
+        minr2 = np.full((3, 3), 100.0)
+        got = assert_same_transitions(pos, minr2, np.zeros((3, 3), bool),
+                                      chunk=4)
+        assert got[0].tolist() == [0, 0, 0, 4, 4, 4]
+        assert got[3].tolist() == [True] * 3 + [False] * 3
+        first = kernels.transitions(pos[:4], minr2, np.zeros((3, 3), bool))
+        rest = assert_same_transitions(pos[4:], minr2, first[4], chunk=4)
+        assert rest[0].tolist() == [0, 0, 0] and not rest[3].any()
+
+    @pytest.mark.parametrize("where", ["range", "past-range", "reach",
+                                       "past-reach"])
+    def test_x_gap_at_the_reach_boundary(self, where):
+        """A gap exactly at the range is a contact; anything past it is not,
+        whether the x test keeps the pair (up to ``reach``) or drops it."""
+        reach = 10.0 * (1.0 + kernels._REL_SLACK) + kernels._ABS_SLACK
+        gap = {"range": 10.0, "past-range": np.nextafter(10.0, 11.0),
+               "reach": reach, "past-reach": np.nextafter(reach, 11.0)}[where]
+        pos = np.zeros((6, 2, 2))
+        pos[:, 1, 0] = 300.0
+        pos[3, 1, 0] = gap
+        got = assert_same_transitions(pos, np.full((2, 2), 100.0),
+                                      np.zeros((2, 2), bool), chunk=2)
+        assert got[0].tolist() == ([3, 4] if where == "range" else [])
+
     def test_mixed_radio_ranges(self):
         legs = self._random_legs(seed=6)
         pos = positions_at(legs, np.arange(0.0, 2000.0, 1.0))
@@ -257,6 +305,34 @@ class TestBuildOracles:
         # the first batch of draws (16 legs) and of the second (16 + 32)
         assert {1, 15, 16, 17, 47, 48, 49} <= counts
 
+    def test_ragged_rounds_and_horizon_on_a_leg_end(self):
+        """Slow nodes end in the first round of draws beside fast ones that
+        need several; a horizon exactly at a leg's end is not past it, so
+        the leg after it is the node's last."""
+        n = 8
+        slow = np.arange(n) < 4
+        shape = ((100.0, 100.0), np.where(slow, 0.1, 40.0),
+                 np.where(slow, 0.2, 60.0), np.full(n, 0.5), np.full(n, 1.0))
+        legs = self._assert_same_legs(shape + (2000.0, 3))
+        counts = np.diff(legs.leg_off)
+        assert counts[slow].max() < 16 and counts[~slow].min() > 16 + 32
+        # the horizon at the end of node 4's 16th leg, the last of its first
+        # round: the first leg of its second round is its last
+        end = float(legs.t0[legs.leg_off[4] + 16])
+        legs = self._assert_same_legs(shape + (end, 3))
+        assert np.diff(legs.leg_off)[4] == 17
+        assert legs.t0[legs.leg_off[5] - 1] == end
+
+    def test_pauses_past_the_horizon_give_one_leg_each(self):
+        """Every node's first pause outlasts the run, so each itinerary is a
+        single leg timed by that node's own draws alone."""
+        n = 6
+        legs = self._assert_same_legs(((300.0, 200.0), np.full(n, 1.0),
+                                       np.full(n, 9.0), np.full(n, 500.0),
+                                       np.full(n, 600.0), 400.0, 7))
+        assert legs.leg_off.tolist() == list(range(n + 1))
+        assert not legs.t0.any() and np.all(legs.tarr < 400.0)
+
     def test_positions_outside_the_legs_and_on_empty_legs(self):
         # node 0 has a zero-length leg at t = 10 (equal starts: the later
         # leg wins); node 1 starts late; ticks run before and after all legs
@@ -333,6 +409,33 @@ class TestScenario:
     def test_warmup_must_precede_end(self):
         with pytest.raises(ValueError, match="warmup"):
             mini_scenario(warmup=5000.0, duration=4000.0).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("ttl_min", math.nan), ("ttl_min", math.inf), ("duration", math.inf),
+        ("duration", math.nan), ("warmup", math.nan), ("mobility_dt", math.nan),
+        ("mobility_dt", math.inf), ("area", (800.0, math.nan)),
+        ("area", (math.inf, 600.0)), ("message_interval", (20.0, math.inf)),
+        ("message_interval", (math.nan, 40.0)), ("prophet_p_init", math.nan),
+        ("prophet_beta", math.inf), ("prophet_gamma", -math.inf),
+        ("energy", EnergyParams(window=math.nan)),
+        ("energy", EnergyParams(window=math.inf))])
+    def test_non_finite_scenario_number_rejected(self, field, value):
+        """NaN fails every comparison, so it passed each range check; an
+        infinite duration kept the itinerary draws going forever.  Only
+        ``validate`` runs here: nothing is built."""
+        with pytest.raises(ValueError, match="finite"):
+            mini_scenario(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("speed_range", (1.0, math.inf)), ("speed_range", (math.nan, 2.0)),
+        ("pause_range", (0.0, math.nan)), ("pause_range", (0.0, math.inf)),
+        ("radio_range", math.nan), ("radio_range", math.inf),
+        ("link_rate_bps", math.nan), ("link_rate_bps", math.inf)])
+    def test_non_finite_group_number_rejected(self, field, value):
+        sc = mini_scenario()
+        groups = (replace(sc.groups[0], **{field: value}),) + sc.groups[1:]
+        with pytest.raises(ValueError, match="walkers.*finite"):
+            sc.with_overrides(groups=groups).validate()
 
     def test_interest_assignment_uniform_mode(self):
         sc = mini_scenario()

@@ -31,6 +31,9 @@ from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("pyproject.toml", "src", "tests")
+# A mutant that makes its tests run away (say, a loop that never ends) is
+# stopped here and reported as an error, not as caught.
+TIMEOUT_S = 300
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,8 @@ _BUFFER_ORACLE = (
     "tests/test_routing.py::TestBufferOracle::test_long_sequences_match_reference")
 _EXPIRY = ("tests/test_model.py::TestExpiry",)
 _ROUTING_AND_SIM = ("tests/test_routing.py", "tests/test_sim.py")
+_RAGGED_ROUNDS = ("tests/test_sim.py::TestBuildOracles::"
+                  "test_ragged_rounds_and_horizon_on_a_leg_end",)
 
 MUTANTS = [
     Mutant(
@@ -105,6 +110,33 @@ MUTANTS = [
         "resetting the bound after a scan keeps later early-outs possible",
         equivalent="without it the bound only goes down, which errs toward "
                    "scanning; results are the same, only speed changes"),
+    Mutant(
+        "x-test-without-prev", "src/prif/sim/kernels.py",
+        "& (xlo[pi] - xhi[pj] <= reach) | prev)",
+        "& (xlo[pi] - xhi[pj] <= reach))",
+        ("tests/test_sim.py::TestKernels::"
+         "test_adjacent_pairs_that_separate_along_either_axis",),
+        "a pair adjacent at a block's start stays a candidate however far "
+        "apart in x it moves, or its contact never ends"),
+    Mutant(
+        "itinerary-without-its-last-leg", "src/prif/sim/mobility.py",
+        "past.argmax(axis=1) + 1", "past.argmax(axis=1)",
+        _RAGGED_ROUNDS,
+        "the first leg to end past the horizon is the node's last one, and "
+        "is kept"),
+    Mutant(
+        "continuing-nodes-keep-their-old-time", "src/prif/sim/mobility.py",
+        "t_end[go, -1]", "t[go]",
+        _RAGGED_ROUNDS,
+        "a node's next round starts when its last leg of this round ends"),
+    Mutant(
+        "leg-clock-accumulated-across-nodes", "src/prif/sim/mobility.py",
+        "np.add.accumulate(steps, axis=1)", "np.add.accumulate(steps, axis=0)",
+        # not the ragged rounds: there a node's clock never reaches the
+        # horizon under this mutant, and its draws double without end
+        ("tests/test_sim.py::TestBuildOracles::"
+         "test_pauses_past_the_horizon_give_one_leg_each",),
+        "each node's clock runs along its own row of legs"),
 ]
 
 
@@ -118,15 +150,17 @@ def run_mutant(m: Mutant, tree: Path) -> tuple[str, float]:
     if original.count(m.old) != 1:
         return f"stale: old text occurs {original.count(m.old)} times", 0.0
     path.write_text(original.replace(m.old, m.new))
+    start = time.perf_counter()
     try:
-        start = time.perf_counter()
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
              *m.tests],
-            cwd=tree, capture_output=True, text=True)
-        elapsed = time.perf_counter() - start
+            cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return f"error: no result in {TIMEOUT_S} s", time.perf_counter() - start
     finally:
         path.write_text(original)
+    elapsed = time.perf_counter() - start
     if done.returncode == 0:
         return "survived", elapsed
     if done.returncode == 1:
