@@ -420,7 +420,7 @@ class TestScenario:
         ("energy", EnergyParams(window=math.nan)),
         ("energy", EnergyParams(window=math.inf))])
     def test_non_finite_scenario_number_rejected(self, field, value):
-        """NaN fails every comparison, so it passed each range check; an
+        """Every `<= 0` check reads False for NaN, so NaN passed them; an
         infinite duration kept the itinerary draws going forever.  Only
         ``validate`` runs here: nothing is built."""
         with pytest.raises(ValueError, match="finite"):
