@@ -37,9 +37,8 @@ class NoPrivacyPrifRouter(PrifRouter):
 
     kind = "prif-noprivacy"
 
-    def __init__(self, node: NodeId, interest: int, energy_params: EnergyParams,
-                 capacity_bytes: int) -> None:
-        super().__init__(node, interest, None, None, energy_params, capacity_bytes)
+    def __init__(self, node: NodeId, interest: int, energy_params: EnergyParams) -> None:
+        super().__init__(node, interest, None, None, energy_params)
 
     def header_label(self, m: Message) -> bytes:
         return interest_wire_bytes(m.dest_community)
@@ -66,11 +65,10 @@ class EpidemicRouter(Router):
         return True, (), ()
 
     def decide(self, peer: "EpidemicRouter", m: Message, now: SimTime) -> ForwardDecision:
-        """Flood: deliver at the destination, otherwise relay any missing copy."""
+        """Flood: deliver at the destination, otherwise relay; the carrier's
+        schedule already skips copies the peer holds or either side knows delivered."""
         if peer.node == m.destination:
             return DELIVER
-        if m.msg_id in peer.buffer or peer.knows_delivered(m.msg_id):
-            return HOLD
         return RELAY_INTO_COMMUNITY
 
     def _schedule_key(self, m: Message, peer: Router, now: SimTime):
@@ -123,12 +121,11 @@ class ProphetRouter(Router):
     """Forward to peers with strictly higher delivery predictability."""
 
     kind = "prophet"
-    contact_state = Router.contact_state + ("state", "_powers")
 
-    def __init__(self, node: NodeId, community: int, capacity_bytes: int,
+    def __init__(self, node: NodeId, community: int,
                  p_init: float = 0.75, beta_transitive: float = 0.25,
                  gamma_age: float = 0.98, window: float = 30.0) -> None:
-        super().__init__(node, community, capacity_bytes)
+        super().__init__(node, community)
         self.state = ProphetState(owner=node, p_init=p_init,
                                   beta_transitive=beta_transitive,
                                   gamma_age=gamma_age, window=window)

@@ -53,8 +53,8 @@ class EnergyParams:
             raise ValueError("beta must lie in [0, 1]")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.window <= 0.0:
-            raise ValueError("aging window must be positive")
+        if not 0.0 < self.window < math.inf:   # NaN fails both comparisons
+            raise ValueError("aging window must be finite and positive")
 
 
 @dataclass

@@ -224,7 +224,7 @@ class AuthContext:
 
 
 class Router:
-    """Per-node state and the contact-time logic every flavour shares.
+    """Per-node contact state and the policy every flavour shares.
 
     ``community`` is the node's one community label.  A flavour supplies
     its contact setup ``begin_contact(other, now, rng) -> (usable, frames
@@ -232,39 +232,15 @@ class Router:
     ``decide(peer, m, now)`` and its transmission order
     ``_schedule_key(m, peer, now)``; the default ``evict_for`` drops the
     oldest copy first.  The setup frames are what the link budget is charged.
-
-    Delivery knowledge is one int, ``delivered_mask``, with bit ``msg_id``
-    set for every id known delivered (message ids are dense from 0); gossip
-    is then one ``|``.  ``knows_delivered`` is the membership test.
+    A router holds no messages: its ``Carrier`` in each lane does.
     """
 
     gossips_antipackets = False
     cert: Optional[auth.Certificate] = None
-    # Instance attributes a lane twin shares: everything but the buffer and
-    # the delivery knowledge.
-    contact_state: tuple[str, ...] = ("node", "community")
 
-    def __init__(self, node: NodeId, community: Hashable, capacity_bytes: int) -> None:
+    def __init__(self, node: NodeId, community: Hashable) -> None:
         self.node = node
         self.community = community
-        self.buffer = Buffer(capacity_bytes)
-        self.delivered_mask = 0
-
-    def lane(self, capacity_bytes: int) -> "Router":
-        """A twin for one lane of a lockstep replay (see ``sim.engine``).
-
-        It shares every attribute named in ``contact_state`` with this
-        router, and has its own empty ``buffer`` and ``delivered_mask``.
-        The twin is filled attribute by attribute: reading either object's
-        ``__dict__``, as ``copy.copy`` does, would make every later
-        attribute access on it slower.
-        """
-        twin = object.__new__(type(self))
-        for name in self.contact_state:
-            setattr(twin, name, getattr(self, name))
-        twin.buffer = Buffer(capacity_bytes)
-        twin.delivered_mask = 0
-        return twin
 
     def pseudo_identity(self) -> str:
         return self.cert.id if self.cert is not None else f"node-{self.node}"
@@ -283,16 +259,33 @@ class Router:
                        peer: Optional["Router"] = None) -> list[Message]:
         return sorted(msgs, key=lambda m: self._schedule_key(m, peer, now))
 
-    def evict_for(self, size_bytes: int, now: SimTime) -> list[Message]:
-        """Evict until ``size_bytes`` more fit: oldest first, by
+    def evict_for(self, buf: Buffer, size_bytes: int, now: SimTime) -> list[Message]:
+        """Evict from ``buf`` until ``size_bytes`` more fit: oldest first, by
         ``(created_at, msg_id)``."""
-        buf = self.buffer
         evicted = []
         while buf.used_bytes + size_bytes > buf.capacity_bytes:
             evicted.append(buf.pop_oldest())
         return evicted
 
-    def schedule_messages(self, peer: "Router", now: SimTime) -> list[Message]:
+
+class Carrier:
+    """One node's message layer: its buffer and delivery knowledge, with
+    the schedule order and eviction of its ``router``.
+
+    A replay has one carrier per node and lane (see ``sim.engine``), all of
+    a node's carriers over its one router.  Delivery knowledge is one int,
+    ``delivered_mask``, with bit ``msg_id`` set for every id known delivered
+    (message ids are dense from 0); gossip is then one ``|``.
+    ``knows_delivered`` is the membership test.
+    """
+
+    def __init__(self, router: Router, capacity_bytes: int) -> None:
+        self.router = router
+        self.node = router.node
+        self.buffer = Buffer(capacity_bytes)
+        self.delivered_mask = 0
+
+    def schedule_messages(self, peer: "Carrier", now: SimTime) -> list[Message]:
         """Outbound plan for one contact: drop dead copies, skip what the
         peer already has or either side knows delivered, order the rest."""
         msgs = self.buffer.messages()
@@ -302,9 +295,7 @@ class Router:
         known = self.delivered_mask | peer.delivered_mask
         candidates = [m for m in msgs
                       if m.msg_id not in held and not known >> m.msg_id & 1]
-        return self.schedule_order(candidates, now, peer)
-
-    # -- buffer admission ---------------------------------------------------------
+        return self.router.schedule_order(candidates, now, peer.router)
 
     def admit(self, m: Message, now: SimTime) -> tuple[bool, list[Message], list[Message]]:
         """Admit a message, evicting in eviction order if needed.
@@ -318,16 +309,9 @@ class Router:
             return False, [], purged
         evicted: list[Message] = []
         if buf.used_bytes + m.size_bytes > buf.capacity_bytes:
-            evicted = self.evict_for(m.size_bytes, now)
+            evicted = self.router.evict_for(buf, m.size_bytes, now)
         buf.add(m)
         return True, evicted, purged
-
-    def pop_expired(self, now: SimTime) -> list[Message]:
-        return self.buffer.pop_expired(now)
-
-    def drop_copy(self, msg_id: int) -> Message:
-        """Remove the carrier's own copy after a forward-and-delete relay."""
-        return self.buffer.remove(msg_id)
 
     # -- delivery and anti-packets ---------------------------------------------------
 
@@ -342,7 +326,7 @@ class Router:
             raise ValueError("delivery processed at a non-destination node")
         if self.knows_delivered(m.msg_id):
             return False
-        unseal_payload(m.payload, self.pseudo_identity())
+        unseal_payload(m.payload, self.router.pseudo_identity())
         self.delivered_mask |= 1 << m.msg_id
         return True
 
@@ -359,7 +343,7 @@ class Router:
         return [buf.remove(mid) for mid in
                 sorted(m.msg_id for m in buf.messages() if known >> m.msg_id & 1)]
 
-    def exchange_antipackets(self, other: "Router") -> tuple[list[Message], list[Message]]:
+    def exchange_antipackets(self, other: "Carrier") -> tuple[list[Message], list[Message]]:
         """Union the delivery knowledge and drop any copies it condemns."""
         self.delivered_mask = other.delivered_mask = (
             self.delivered_mask | other.delivered_mask)
@@ -371,12 +355,11 @@ class PrifRouter(Router):
 
     kind = "prif"
     gossips_antipackets = True
-    contact_state = Router.contact_state + ("cert", "auth_ctx", "sessions", "energy")
 
     def __init__(self, node: NodeId, community: Hashable,
                  cert: Optional[auth.Certificate], auth_ctx: Optional[AuthContext],
-                 energy_params: EnergyParams, capacity_bytes: int) -> None:
-        super().__init__(node, community, capacity_bytes)
+                 energy_params: EnergyParams) -> None:
+        super().__init__(node, community)
         self.cert = cert
         self.auth_ctx = auth_ctx
         self.sessions: dict[NodeId, Hashable] = {}
@@ -459,11 +442,10 @@ class PrifRouter(Router):
         return (1, -self.energy.effective_intra(m.dest_community, now),
                 -m.created_at, m.msg_id)
 
-    def evict_for(self, size_bytes: int, now: SimTime) -> list[Message]:
-        """Evict in the schedule order reversed until ``size_bytes`` more
-        fit; every key ends in the unique msg_id, so no two keys tie and the
-        reversal is exact."""
-        buf = self.buffer
+    def evict_for(self, buf: Buffer, size_bytes: int, now: SimTime) -> list[Message]:
+        """Evict from ``buf`` in the schedule order reversed until
+        ``size_bytes`` more fit; every key ends in the unique msg_id, so no
+        two keys tie and the reversal is exact."""
         evicted = []
         for victim in reversed(self.schedule_order(buf.messages(), now)):
             if buf.used_bytes + size_bytes <= buf.capacity_bytes:

@@ -14,16 +14,15 @@ One pass over the event queue can replay several scenarios that differ only
 in ``buffer_bytes`` and ``ttl_min``, one *lane* each.  What a contact does
 apart from messages never reads message state: the setup and its
 ``crypto_rng`` draws, the sessions it opens and the energy or predictability
-updates.  That is the *contact layer*, kept once: the engine's lead
-``routers``, ``crypto_rng`` and ``active`` contacts.  Each lane is a message
-layer with its own buffers, delivery knowledge, ledger and event list; its
-routers are ``Router.lane`` twins of the lead routers, sharing every piece of
-contact state.  Within a step the order is a one-lane replay's: a contact
-start runs the setup once and gives every lane the same outcome and frames;
-a contact end runs each lane's delivery notices and transfers, then the
-updates once; a creation seals once and gives each lane its own ``Message``.
-So each lane's report and events equal a replay of its scenario alone, and
-``run`` is a one-lane replay.
+updates.  That is the *contact layer*, kept once: the engine's ``routers``,
+``crypto_rng`` and ``active`` contacts.  Each lane is a message layer: one
+``Carrier`` per node over that node's router, holding the lane's buffer and
+delivery knowledge, plus the lane's ledger and event list.  Within a step the
+order is a one-lane replay's: a contact start runs the setup once and gives
+every lane the same outcome and frames; a contact end runs each lane's
+delivery notices and transfers, then the updates once; a creation seals once
+and gives each lane its own ``Message``.  So each lane's report and events
+equal a replay of its scenario alone, and ``run`` is a one-lane replay.
 
 A replay can append its events to a list as ``(t, kind, a, b, x)``: the
 ``TRACE_KINDS`` of the text trace (``x`` a message id), ``decide`` (``x`` =
@@ -39,7 +38,7 @@ from typing import Sequence
 from .. import auth
 from ..baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
 from ..model import ContactEvent, Message
-from ..routing import (Action, AuthContext, PrifRouter, Router,
+from ..routing import (Action, AuthContext, Carrier, PrifRouter, Router,
                        encode_message_header, relay_copy, seal_payload)
 from .metrics import MetricsLedger, MetricsReport
 from .scenario import MB, Scenario
@@ -64,14 +63,14 @@ def format_trace(events: list[Event]) -> list[str]:
 
 
 class Lane:
-    """One scenario's message layer: buffers, delivery knowledge, ledger
-    and events, over routers that share the lead routers' contact state."""
+    """One scenario's message layer: a carrier per node over the replay's
+    routers, a ledger and events."""
 
-    def __init__(self, scenario: Scenario, lead: dict[int, Router],
+    def __init__(self, scenario: Scenario, routers: dict[int, Router],
                  events: list[Event] | None) -> None:
         self.scenario = scenario
-        self.routers = {node: r.lane(scenario.buffer_bytes)
-                        for node, r in lead.items()}
+        self.carriers = {node: Carrier(r, scenario.buffer_bytes)
+                         for node, r in routers.items()}
         self.ledger = MetricsLedger()
         self.events = events
 
@@ -97,7 +96,7 @@ class Lane:
                     hop_count=0, payload=sealed)
         self.ledger.on_create(m)
         self._emit(p.t, "create", p.source, p.destination, p.msg_id)
-        admitted, evicted, purged = self.routers[p.source].admit(m, p.t)
+        admitted, evicted, purged = self.carriers[p.source].admit(m, p.t)
         self._account_buffer_fallout(p.t, p.source, evicted, purged)
         if admitted:
             self.ledger.on_admit(m)
@@ -107,24 +106,25 @@ class Lane:
 
     def contact_end(self, c: ContactEvent, ok: bool, budget_ab: float,
                     budget_ba: float) -> None:
-        ra, rb = self.routers[c.a], self.routers[c.b]
+        ca, cb = self.carriers[c.a], self.carriers[c.b]
         self._emit(c.end, "contact_end", c.a, c.b, None)
         if ok:
             now = c.end
-            if self.scenario.antipacket_mode == "gossip" and ra.gossips_antipackets:
-                dropped_a, dropped_b = ra.exchange_antipackets(rb)
+            if self.scenario.antipacket_mode == "gossip" and ca.router.gossips_antipackets:
+                dropped_a, dropped_b = ca.exchange_antipackets(cb)
                 for node, dropped in ((c.a, dropped_a), (c.b, dropped_b)):
                     for v in dropped:
                         self._gone(now, node, v, "anti")
-            self._transfer(ra, rb, budget_ab, now)
-            self._transfer(rb, ra, budget_ba, now)
+            self._transfer(ca, cb, budget_ab, now)
+            self._transfer(cb, ca, budget_ba, now)
 
-    def _transfer(self, carrier, peer, budget: float, now: float) -> None:
+    def _transfer(self, carrier: Carrier, peer: Carrier, budget: float, now: float) -> None:
         if budget <= 0:
             return
         events = self.events
+        router, peer_router = carrier.router, peer.router
         for m in carrier.schedule_messages(peer, now):
-            decision = carrier.decide(peer, m, now)
+            decision = router.decide(peer_router, m, now)
             if events is not None:
                 events.append((now, "decide", carrier.node, peer.node,
                                (m.msg_id, decision.action, decision.reason)))
@@ -138,7 +138,7 @@ class Lane:
             copy = relay_copy(m)
             self.ledger.on_relay(copy)
             if events is not None:
-                header = encode_message_header(copy, carrier.header_label(copy))
+                header = encode_message_header(copy, router.header_label(copy))
                 events.append((now, "frame", carrier.node, peer.node, header))
                 events.append((now, "frame", carrier.node, peer.node, copy.payload))
             if decision.action is Action.DELIVER:
@@ -157,20 +157,20 @@ class Lane:
                 if admitted:
                     self._emit(now, "relay", carrier.node, peer.node, copy.msg_id)
                     if self.scenario.forward_and_delete:
-                        carrier.drop_copy(m.msg_id)
+                        carrier.buffer.remove(m.msg_id)
                     else:
                         self.ledger.on_admit(copy)
 
     def _instant_discard(self, msg_id: int, now: float) -> None:
-        for node, router in self.routers.items():
-            v = router.mark_delivered(msg_id)
+        for node, carrier in self.carriers.items():
+            v = carrier.mark_delivered(msg_id)
             if v is not None:
                 self._gone(now, node, v, "anti")
 
     def finish(self, end: float, axis: str, axis_value: float) -> MetricsReport:
         """Expire what is left at the end of the run; the lane's report."""
-        for node, router in self.routers.items():
-            for v in router.pop_expired(end):
+        for node, carrier in self.carriers.items():
+            for v in carrier.buffer.pop_expired(end):
                 self._gone(end, node, v, "expire")
         return self.ledger.finalize(self.scenario.router, self.scenario.seed,
                                     axis, axis_value)
@@ -223,13 +223,12 @@ class ReplayEngine:
             ctx = AuthContext(params, ta.rl, ta.directory())
         make = {
             "prif": lambda node, i: PrifRouter(
-                node, gids[i], ta.register(gids[i]), ctx, sc.energy,
-                sc.buffer_bytes),
+                node, gids[i], ta.register(gids[i]), ctx, sc.energy),
             "prif-noprivacy": lambda node, i: NoPrivacyPrifRouter(
-                node, i, sc.energy, sc.buffer_bytes),
-            "epidemic": lambda node, i: EpidemicRouter(node, i, sc.buffer_bytes),
+                node, i, sc.energy),
+            "epidemic": lambda node, i: EpidemicRouter(node, i),
             "prophet": lambda node, i: ProphetRouter(
-                node, i, sc.buffer_bytes, p_init=sc.prophet_p_init,
+                node, i, p_init=sc.prophet_p_init,
                 beta_transitive=sc.prophet_beta, gamma_age=sc.prophet_gamma,
                 window=sc.energy.window),
         }[sc.router]
@@ -258,7 +257,8 @@ class ReplayEngine:
             started += [(c.start, "frame", c.b, c.a, f) for f in frames_ba]
             started.append((c.start, "hs_ok" if ok else "hs_fail", c.a, c.b, None))
             for events in self._sinks:
-                events += started
+                for event in started:
+                    events.append(event)
 
     def _on_contact_end(self, c: ContactEvent) -> None:
         ok, budget_ab, budget_ba = self.active.pop((c.a, c.b))

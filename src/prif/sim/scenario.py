@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -81,11 +81,12 @@ class Scenario:
         for g in self.groups:
             g.validate()
         # NaN passes every `<= 0` check below; an infinite horizon never ends
+        # (EnergyParams checks its own numbers)
         if not all(map(math.isfinite, (
                 *self.area, *self.message_interval, *self.message_size,
                 self.ttl_min, self.buffer_bytes, self.duration, self.warmup,
                 self.prophet_p_init, self.prophet_beta, self.prophet_gamma,
-                self.mobility_dt, *astuple(self.energy)))):
+                self.mobility_dt))):
             raise ValueError("scenario numbers must be finite")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ValueError("area must be positive in both dimensions")

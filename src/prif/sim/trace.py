@@ -48,7 +48,6 @@ class ContactTrace:
     interests: np.ndarray                # node -> community index
     contacts: tuple[ContactEvent, ...]   # ordered by (start, pair discovery)
     plan: tuple[MessagePlan, ...]
-    n_truncated: int                     # contacts cut off by end of run
 
 
 def assign_interests(scenario: Scenario) -> np.ndarray:
@@ -67,7 +66,7 @@ def assign_interests(scenario: Scenario) -> np.ndarray:
     return out.astype(np.int64)
 
 
-def build_contacts(scenario: Scenario) -> tuple[list[ContactEvent], int]:
+def build_contacts(scenario: Scenario) -> list[ContactEvent]:
     """Tick-sampled contact intervals from the waypoint mobility.
 
     A contact opens at the first tick two nodes sit within the smaller of
@@ -101,13 +100,11 @@ def build_contacts(scenario: Scenario) -> tuple[list[ContactEvent], int]:
                 open_since[i, j] = t
             else:
                 contacts.append(ContactEvent(i, j, open_since.pop((i, j)), t))
-    n_truncated = 0
     for pair, t_start in sorted(open_since.items()):
         if t_start < scenario.duration:
             contacts.append(ContactEvent(pair[0], pair[1], t_start, scenario.duration))
-            n_truncated += 1
     contacts.sort(key=lambda c: (c.start, c.a, c.b))
-    return contacts, n_truncated
+    return contacts
 
 
 def build_plan(scenario: Scenario, interests: np.ndarray) -> list[MessagePlan]:
@@ -157,9 +154,8 @@ def build_plan(scenario: Scenario, interests: np.ndarray) -> list[MessagePlan]:
 def build_trace(scenario: Scenario) -> ContactTrace:
     scenario.validate()
     interests = assign_interests(scenario)
-    contacts, n_truncated = build_contacts(scenario)
+    contacts = build_contacts(scenario)
     plan = build_plan(scenario, interests)
     interests.flags.writeable = False
     return ContactTrace(duration=scenario.duration, interests=interests,
-                        contacts=tuple(contacts), plan=tuple(plan),
-                        n_truncated=n_truncated)
+                        contacts=tuple(contacts), plan=tuple(plan))

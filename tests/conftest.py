@@ -3,7 +3,7 @@ import random
 import pytest
 
 from prif.energy import EnergyParams, InterEnergyRecord, IntraEnergyRecord
-from prif.routing import PrifRouter
+from prif.routing import Carrier, PrifRouter
 
 
 @pytest.fixture
@@ -11,11 +11,15 @@ def energy_params():
     return EnergyParams(alpha=0.3, beta=0.3, gamma=0.98, window=30.0)
 
 
-def make_plain_router(node, community, capacity=10_000_000, params=None):
+def make_plain_router(node, community, params=None):
     """Router with injectable state and no crypto, for decision-layer tests."""
     return PrifRouter(node=node, community=community, cert=None, auth_ctx=None,
-                      energy_params=params or EnergyParams(),
-                      capacity_bytes=capacity)
+                      energy_params=params or EnergyParams())
+
+
+def make_plain_carrier(node, community, capacity=10_000_000, params=None):
+    """A carrier over ``make_plain_router``, for message-layer tests."""
+    return Carrier(make_plain_router(node, community, params), capacity)
 
 
 def set_inter(router, peer, value, now):

@@ -215,7 +215,7 @@ class SetBufferNode:
     """A router's buffer and delivery knowledge kept the plain way: an
     insertion-ordered dict scanned for expiry, a full sort for oldest-first
     eviction, and a set of delivered ids.  Reference for ``Buffer`` and the
-    ``Router`` admission, schedule filter and anti-packet methods."""
+    ``Carrier`` admission, schedule filter and anti-packet methods."""
 
     def __init__(self, node, capacity_bytes):
         self.node = node

@@ -18,7 +18,7 @@ from prif.model import ContactEvent, Message
 from prif.routing import Action, INTEREST_MARKER
 from prif.sim import build_trace, desk_preset, run, run_sweep
 
-from conftest import make_plain_router, set_inter, set_intra
+from conftest import make_plain_carrier, make_plain_router, set_inter, set_intra
 from oracles import (forwarding_reference, inter_script_oracle,
                      intra_script_oracle)
 
@@ -250,10 +250,10 @@ class TestCriterion4:
         violations = 0
         for seq in range(10_000):
             capacity = rng.randint(200, 1200)
-            carrier = make_plain_router(0, "D", capacity=capacity)
-            set_inter(carrier, 7, rng.random(), now)
-            set_intra(carrier, "B1", rng.random(), now)
-            set_intra(carrier, "B2", rng.random(), now)
+            carrier = make_plain_carrier(0, "D", capacity=capacity)
+            set_inter(carrier.router, 7, rng.random(), now)
+            set_intra(carrier.router, "B1", rng.random(), now)
+            set_intra(carrier.router, "B2", rng.random(), now)
             for i in range(rng.randint(1, 12)):
                 m = Message(
                     msg_id=seq * 100 + i, source=0,
@@ -267,7 +267,7 @@ class TestCriterion4:
                     violations += 1
             # eviction is the schedule reversed, exactly so while no two
             # buffered copies share a schedule key
-            keys = [carrier._schedule_key(m, None, now)
+            keys = [carrier.router._schedule_key(m, None, now)
                     for m in carrier.buffer.messages()]
             if len(set(keys)) != len(keys):
                 violations += 1

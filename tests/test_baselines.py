@@ -8,7 +8,7 @@ from prif.baselines import (EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter,
                             ProphetState)
 from prif.energy import EnergyParams, decay_windows
 from prif.model import Message
-from prif.routing import Action, interest_wire_bytes
+from prif.routing import Action, Carrier, interest_wire_bytes
 from prif.sim import build_trace, desk_preset, run
 
 from conftest import link_sessions, make_plain_router, set_inter, set_intra
@@ -29,33 +29,45 @@ def msg(msg_id=1, source=0, destination=9, dest_community=3,
 
 class TestEpidemic:
     def _pair(self):
-        a = EpidemicRouter(0, 0, 10_000)
-        b = EpidemicRouter(1, 0, 10_000)
+        a = EpidemicRouter(0, 0)
+        b = EpidemicRouter(1, 0)
         a.begin_contact(b, NOW, random.Random(1))
         return a, b
+
+    def _carriers(self):
+        a, b = self._pair()
+        return Carrier(a, 10_000), Carrier(b, 10_000)
 
     def test_relay_when_peer_lacks(self):
         a, b = self._pair()
         assert a.decide(b, msg(), NOW).action is Action.RELAY
 
     def test_hold_when_peer_has_copy(self):
-        a, b = self._pair()
+        """The schedule skips a copy the peer holds; the decision never
+        sees it."""
+        a, b = self._carriers()
         m = msg()
+        a.admit(m, NOW)
+        assert a.schedule_messages(b, NOW) == [m]
         b.admit(m, NOW)
-        assert a.decide(b, m, NOW).action is Action.HOLD
+        assert a.schedule_messages(b, NOW) == []
 
     def test_deliver_at_destination(self):
         a, b = self._pair()
         assert a.decide(b, msg(destination=1), NOW).action is Action.DELIVER
 
     def test_hold_when_peer_already_delivered(self):
-        a, b = self._pair()
+        """The schedule skips a copy the peer knows delivered, before any
+        exchange of delivery notices."""
+        a, b = self._carriers()
         m = msg()
+        a.admit(m, NOW)
         b.mark_delivered(m.msg_id)
-        assert a.decide(b, m, NOW).action is Action.HOLD
+        assert a.schedule_messages(b, NOW) == []
+        assert not a.knows_delivered(m.msg_id) and m.msg_id in a.buffer
 
     def test_drop_oldest_eviction(self):
-        a = EpidemicRouter(0, 0, 300)
+        a = Carrier(EpidemicRouter(0, 0), 300)
         a.admit(msg(msg_id=1, size=150, created_at=10.0), NOW)
         a.admit(msg(msg_id=2, size=150, created_at=20.0), NOW)
         _, evicted, _ = a.admit(msg(msg_id=3, size=150, created_at=30.0), NOW)
@@ -73,7 +85,7 @@ class TestProphetUpdates:
         assert s.p[5] == pytest.approx(0.75)
 
     def test_aging_two_windows(self):
-        r = ProphetRouter(0, 0, 10_000)
+        r = ProphetRouter(0, 0)
         r.state.p[5] = 0.75
         assert r.predictability(5, 60.0) == pytest.approx(0.75 * 0.9604)
         assert r.state.p == {5: 0.75} and r.state.last_aged_at == 0.0
@@ -85,7 +97,7 @@ class TestProphetUpdates:
     @given(st.floats(0, 1), st.integers(0, 4_000).map(lambda t: t / 4),
            st.integers(0, 8_000).map(lambda t: t / 4))
     def test_predictability_is_p_times_power(self, p, anchor, now):
-        r = ProphetRouter(0, 0, 10_000)
+        r = ProphetRouter(0, 0)
         r.state.p[5] = p
         r.state.last_aged_at = anchor
         s = r.state
@@ -103,7 +115,7 @@ class TestProphetUpdates:
                               st.integers(1, 5), st.integers(0, 3000)),
                     max_size=40))
     def test_p_stays_in_unit_interval(self, events):
-        r = ProphetRouter(0, 0, 10_000)
+        r = ProphetRouter(0, 0)
         s = r.state
         now = 0.0
         for kind, peer, dt in events:
@@ -131,7 +143,7 @@ class TestProphetUpdates:
         """Predictability reads between contacts leave every vector and
         every later read bit-identical to a run without them."""
         def routers():
-            return [ProphetRouter(n, 0, 10_000) for n in range(4)]
+            return [ProphetRouter(n, 0) for n in range(4)]
 
         def snapshot(rs):
             return [(r.state.last_aged_at, dict(r.state.p)) for r in rs]
@@ -155,15 +167,15 @@ class TestProphetUpdates:
 
 class TestProphetRouter:
     def test_contact_bumps_both_sides(self):
-        a = ProphetRouter(0, 0, 10_000)
-        b = ProphetRouter(1, 0, 10_000)
+        a = ProphetRouter(0, 0)
+        b = ProphetRouter(1, 0)
         a.begin_contact(b, NOW, random.Random(1))
         assert a.state.p[1] == pytest.approx(0.75)
         assert b.state.p[0] == pytest.approx(0.75)
 
     def test_relay_on_strictly_higher_predictability(self):
-        a = ProphetRouter(0, 0, 10_000)
-        b = ProphetRouter(1, 0, 10_000)
+        a = ProphetRouter(0, 0)
+        b = ProphetRouter(1, 0)
         a.begin_contact(b, NOW, random.Random(1))
         b.state.p[9] = 0.6
         m = msg(destination=9)
@@ -172,8 +184,8 @@ class TestProphetRouter:
         assert a.decide(b, m, NOW).action is Action.HOLD
 
     def test_transitivity_through_contact(self):
-        a = ProphetRouter(0, 0, 10_000)
-        b = ProphetRouter(1, 0, 10_000)
+        a = ProphetRouter(0, 0)
+        b = ProphetRouter(1, 0)
         a.state.last_aged_at = b.state.last_aged_at = NOW
         b.state.p[9] = 0.8
         a.begin_contact(b, NOW, random.Random(1))
@@ -188,8 +200,8 @@ class TestProphetRouter:
 class TestNoPrivacy:
     def _pair(self, interest_a=0, interest_b=1):
         ep = EnergyParams()
-        a = NoPrivacyPrifRouter(0, interest_a, ep, 10_000)
-        b = NoPrivacyPrifRouter(1, interest_b, ep, 10_000)
+        a = NoPrivacyPrifRouter(0, interest_a, ep)
+        b = NoPrivacyPrifRouter(1, interest_b, ep)
         return a, b
 
     def test_decision_surface_matches_privacy_router(self):

@@ -1,5 +1,6 @@
+import math
 import random
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from prif.energy import (EnergyParams, EnergyTable, InterEnergyRecord,
                          IntraEnergyRecord, decay_windows)
 from prif.model import ContactEvent
+from prif.routing import PrifRouter
 
 from oracles import (inter_script_oracle, intra_script_oracle, predict_inter,
                      predict_intra, transitive_oracle)
@@ -478,3 +480,13 @@ class TestSupport:
             EnergyParams(gamma=1.0)
         with pytest.raises(ValueError):
             EnergyParams(window=0.0)
+
+    @pytest.mark.parametrize("window", [math.nan, math.inf])
+    def test_non_finite_window_rejected(self, window):
+        """``nan <= 0`` and ``inf <= 0`` are both False, so such a window
+        once passed, and a router built outside any validated scenario took
+        it."""
+        with pytest.raises(ValueError, match="finite"):
+            EnergyParams(window=window)
+        with pytest.raises(ValueError, match="finite"):
+            PrifRouter(0, "C", None, None, replace(P, window=window))

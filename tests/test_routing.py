@@ -9,12 +9,12 @@ from prif import auth
 from prif.baselines import EpidemicRouter
 from prif.energy import EnergyParams
 from prif.model import ContactEvent, Message, message_is_expired
-from prif.routing import (Action, AuthContext, Buffer, ForwardDecision,
+from prif.routing import (Action, AuthContext, Buffer, Carrier, ForwardDecision,
                           PrifRouter, Reason, SealError, encode_message_header,
                           relay_copy, seal_payload, unseal_payload)
 
-from conftest import (link_sessions, make_plain_router, random_nonce,
-                      set_inter, set_intra)
+from conftest import (link_sessions, make_plain_carrier, make_plain_router,
+                      random_nonce, set_inter, set_intra)
 from oracles import SetBufferNode, forwarding_reference
 
 NOW = 1000.0
@@ -146,8 +146,8 @@ class TestDecide:
 # ---------------------------------------------------------------------------
 
 class TestScheduling:
-    def _carrier(self):
-        c = make_plain_router(0, "D", capacity=1000)
+    def _router(self):
+        c = make_plain_router(0, "D")
         set_inter(c, 7, 0.5, NOW)
         set_inter(c, 8, 0.5, NOW)
         set_intra(c, "B1", 0.03, NOW)
@@ -155,7 +155,7 @@ class TestScheduling:
         return c
 
     def test_destination_community_class_first(self):
-        c = make_plain_router(0, "D", capacity=1000)
+        c = make_plain_router(0, "D")
         set_inter(c, 7, 0.2, NOW)
         set_intra(c, "B", 9.9, NOW)
         inside = msg(msg_id=1, destination=7, dest_community="D")
@@ -164,30 +164,30 @@ class TestScheduling:
         assert [m.msg_id for m in order] == [1, 2]
 
     def test_newer_first_on_equal_inter(self):
-        c = self._carrier()
+        c = self._router()
         older = msg(msg_id=1, destination=7, dest_community="D", created_at=10.0)
         newer = msg(msg_id=2, destination=8, dest_community="D", created_at=20.0)
         order = c.schedule_order([older, newer], NOW)
         assert [m.msg_id for m in order] == [2, 1]
 
     def test_descending_intra_for_outside_class(self):
-        c = self._carrier()
+        c = self._router()
         low = msg(msg_id=1, destination=5, dest_community="B2")
         high = msg(msg_id=2, destination=6, dest_community="B1")
         order = c.schedule_order([low, high], NOW)
         assert [m.msg_id for m in order] == [2, 1]
 
     def test_msg_id_final_tiebreak(self):
-        c = self._carrier()
+        c = self._router()
         m1 = msg(msg_id=3, destination=7, dest_community="D", created_at=10.0)
         m2 = msg(msg_id=4, destination=8, dest_community="D", created_at=10.0)
         order = c.schedule_order([m2, m1], NOW)
         assert [m.msg_id for m in order] == [3, 4]
 
     def test_schedule_skips_peer_held_and_dead(self):
-        c = self._carrier()
-        peer = make_plain_router(1, "D")
-        link_sessions(c, peer)
+        c = Carrier(self._router(), 1000)
+        peer = make_plain_carrier(1, "D")
+        link_sessions(c.router, peer.router)
         live = msg(msg_id=1, destination=7, dest_community="D", created_at=NOW - 10)
         held = msg(msg_id=2, destination=7, dest_community="D", created_at=NOW - 10)
         dead = msg(msg_id=3, destination=7, dest_community="D",
@@ -208,7 +208,7 @@ class TestScheduling:
         """Eviction is the schedule reversed; that is exact only because no
         two buffered copies share a schedule key, ties in community class,
         energy and age included."""
-        c = make_plain_router(0, "D", capacity=1000)
+        c = make_plain_router(0, "D")
         for dest in range(5, 10):
             set_inter(c, dest, 0.5, NOW)
         set_intra(c, "B1", intra, NOW)
@@ -225,8 +225,8 @@ class TestScheduling:
 
 class TestAdmission:
     def test_class_b_evicted_before_class_a(self):
-        c = make_plain_router(0, "D", capacity=300)
-        set_intra(c, "B", 0.5, NOW)
+        c = make_plain_carrier(0, "D", capacity=300)
+        set_intra(c.router, "B", 0.5, NOW)
         b1 = msg(msg_id=1, destination=5, dest_community="B", size=150)
         b2 = msg(msg_id=2, destination=6, dest_community="B", size=150)
         c.admit(b1, NOW)
@@ -237,9 +237,9 @@ class TestAdmission:
         assert all(v.dest_community == "B" for v in evicted)
 
     def test_lowest_intra_evicted_first(self):
-        c = make_plain_router(0, "D", capacity=300)
-        set_intra(c, "B1", 0.03, NOW)
-        set_intra(c, "B2", 0.01, NOW)
+        c = make_plain_carrier(0, "D", capacity=300)
+        set_intra(c.router, "B1", 0.03, NOW)
+        set_intra(c.router, "B2", 0.01, NOW)
         strong = msg(msg_id=1, destination=5, dest_community="B1", size=150)
         weak = msg(msg_id=2, destination=6, dest_community="B2", size=150)
         c.admit(strong, NOW)
@@ -249,8 +249,8 @@ class TestAdmission:
         assert admitted and [v.msg_id for v in evicted] == [2]
 
     def test_older_evicted_on_equal_energy(self):
-        c = make_plain_router(0, "D", capacity=300)
-        set_intra(c, "B", 0.5, NOW)
+        c = make_plain_carrier(0, "D", capacity=300)
+        set_intra(c.router, "B", 0.5, NOW)
         older = msg(msg_id=1, destination=5, dest_community="B", size=150, created_at=10.0)
         newer = msg(msg_id=2, destination=6, dest_community="B", size=150, created_at=20.0)
         c.admit(newer, NOW)
@@ -260,7 +260,7 @@ class TestAdmission:
         assert admitted and [v.msg_id for v in evicted] == [1]
 
     def test_oversize_rejected_buffer_untouched(self):
-        c = make_plain_router(0, "D", capacity=300)
+        c = make_plain_carrier(0, "D", capacity=300)
         keep = msg(msg_id=1, destination=5, dest_community="B", size=100)
         c.admit(keep, NOW)
         admitted, evicted, _ = c.admit(msg(msg_id=2, size=301), NOW)
@@ -268,7 +268,7 @@ class TestAdmission:
         assert 1 in c.buffer
 
     def test_expired_purged_before_admission(self):
-        c = make_plain_router(0, "D", capacity=300)
+        c = make_plain_carrier(0, "D", capacity=300)
         stale = msg(msg_id=1, created_at=0.0, ttl_min=1.0, size=200)
         c.admit(stale, 30.0)
         _, _, purged = c.admit(msg(msg_id=2, size=200), 100.0)
@@ -278,7 +278,7 @@ class TestAdmission:
     @given(st.lists(st.tuples(st.integers(1, 400), st.integers(0, 1000)),
                     min_size=1, max_size=50))
     def test_buffer_never_exceeds_capacity(self, ops):
-        c = make_plain_router(0, "D", capacity=500)
+        c = make_plain_carrier(0, "D", capacity=500)
         for i, (size, created) in enumerate(ops):
             c.admit(msg(msg_id=i, size=size, created_at=float(created),
                         dest_community="B"), NOW)
@@ -290,27 +290,27 @@ class TestAdmission:
 # ---------------------------------------------------------------------------
 
 class TestDelivery:
-    def _sealed_msg(self, dest_router, **kw):
+    def _sealed_msg(self, dest, **kw):
         nonce = random_nonce(random.Random(1))
-        payload = seal_payload(b"hello", dest_router.pseudo_identity(), nonce)
-        return msg(payload=payload, destination=dest_router.node, **kw)
+        payload = seal_payload(b"hello", dest.router.pseudo_identity(), nonce)
+        return msg(payload=payload, destination=dest.node, **kw)
 
     def test_first_copy_counts_then_dedups(self):
-        dest = make_plain_router(9, "D")
+        dest = make_plain_carrier(9, "D")
         m = self._sealed_msg(dest)
         assert dest.accept_delivery(relay_copy(m)) is True
         assert dest.accept_delivery(relay_copy(m)) is False
         assert dest.knows_delivered(m.msg_id)
 
     def test_wrong_node_raises(self):
-        dest = make_plain_router(9, "D")
-        other = make_plain_router(3, "D")
+        dest = make_plain_carrier(9, "D")
+        other = make_plain_carrier(3, "D")
         m = self._sealed_msg(dest)
         with pytest.raises(ValueError):
             other.accept_delivery(m)
 
     def test_tampered_payload_fails_integrity(self):
-        dest = make_plain_router(9, "D")
+        dest = make_plain_carrier(9, "D")
         m = self._sealed_msg(dest)
         bad = msg(destination=9, payload=m.payload[:-1] + b"\x00")
         with pytest.raises(SealError):
@@ -333,8 +333,8 @@ class TestDelivery:
 
 class TestAntipackets:
     def test_known_delivery_drops_peer_copy(self):
-        a = make_plain_router(0, "D")
-        b = make_plain_router(1, "D")
+        a = make_plain_carrier(0, "D")
+        b = make_plain_carrier(1, "D")
         m = msg(msg_id=1)
         b.admit(m, NOW)
         a.mark_delivered(1)
@@ -343,8 +343,8 @@ class TestAntipackets:
         assert 1 not in b.buffer
 
     def test_sets_union_both_ways(self):
-        a = make_plain_router(0, "D")
-        b = make_plain_router(1, "D")
+        a = make_plain_carrier(0, "D")
+        b = make_plain_carrier(1, "D")
         a.mark_delivered(1)
         b.mark_delivered(2)
         a.exchange_antipackets(b)
@@ -353,15 +353,15 @@ class TestAntipackets:
                 False, True, True, False]
 
     def test_empty_sets_noop(self):
-        a = make_plain_router(0, "D")
-        b = make_plain_router(1, "D")
+        a = make_plain_carrier(0, "D")
+        b = make_plain_carrier(1, "D")
         b.admit(msg(msg_id=1), NOW)
         dropped_a, dropped_b = a.exchange_antipackets(b)
         assert not dropped_a and not dropped_b
         assert 1 in b.buffer
 
     def test_negative_id_rejected(self):
-        a = make_plain_router(0, "D")
+        a = make_plain_carrier(0, "D")
         with pytest.raises(ValueError):
             a.knows_delivered(-1)
         with pytest.raises(ValueError):
@@ -388,14 +388,15 @@ _op = st.tuples(st.sampled_from(_KINDS), st.integers(0, 1),
 
 
 def run_against_reference(ops):
-    """Apply ``ops`` to two routers and to two ``SetBufferNode``s, asserting
-    equal results and equal buffers and delivery knowledge after each, and
-    that a buffer whose ``maybe_expired`` reads False holds no expired copy."""
-    routers = [EpidemicRouter(0, 0, 1000), EpidemicRouter(1, 0, 1000)]
+    """Apply ``ops`` to two epidemic carriers and to two ``SetBufferNode``s,
+    asserting equal results and equal buffers and delivery knowledge after
+    each, and that a buffer whose ``maybe_expired`` reads False holds no
+    expired copy."""
+    carriers = [Carrier(EpidemicRouter(n, 0), 1000) for n in range(2)]
     refs = [SetBufferNode(0, 1000), SetBufferNode(1, 1000)]
     now = 10_000.0
     for kind, n, mid, size, age, ttl, dt in ops:
-        r, ref = routers[n], refs[n]
+        r, ref = carriers[n], refs[n]
         if kind == "tick":
             now += dt
         elif kind == "admit":
@@ -404,20 +405,21 @@ def run_against_reference(ops):
             m = msg(msg_id=mid, size=size, created_at=now - age, ttl_min=ttl)
             assert r.admit(m, now) == ref.admit(m, now)
         elif kind == "expire":
-            assert r.pop_expired(now) == ref.pop_expired(now)
+            assert r.buffer.pop_expired(now) == ref.pop_expired(now)
         elif kind == "drop":
             if mid in ref.msgs:
-                assert r.drop_copy(mid) == ref.drop_copy(mid)
+                assert r.buffer.remove(mid) == ref.drop_copy(mid)
         elif kind == "mark":
             assert r.mark_delivered(mid) == ref.mark_delivered(mid)
         elif kind == "gossip":
-            assert (routers[0].exchange_antipackets(routers[1])
+            assert (carriers[0].exchange_antipackets(carriers[1])
                     == refs[0].exchange_antipackets(refs[1]))
         else:
-            peer = routers[1 - n]
-            want = r.schedule_order(ref.candidates(refs[1 - n], now), now, peer)
+            peer = carriers[1 - n]
+            want = r.router.schedule_order(ref.candidates(refs[1 - n], now), now,
+                                           peer.router)
             assert r.schedule_messages(peer, now) == want
-        for r, ref in zip(routers, refs):
+        for r, ref in zip(carriers, refs):
             assert r.buffer.messages() == list(ref.msgs.values())
             assert r.buffer.used_bytes == ref.used_bytes()
             assert [r.knows_delivered(i) for i in range(N_IDS)] == [
@@ -439,7 +441,7 @@ class TestBufferOracle:
         run_against_reference(ops)
 
     def test_oldest_first_breaks_ties_by_id_across_ttls(self):
-        r = EpidemicRouter(0, 0, 300)
+        r = Carrier(EpidemicRouter(0, 0), 300)
         r.admit(msg(msg_id=5, size=150, created_at=10.0, ttl_min=600.0), 20.0)
         r.admit(msg(msg_id=3, size=150, created_at=10.0, ttl_min=2.0), 20.0)
         _, evicted, _ = r.admit(msg(msg_id=7, size=150, created_at=20.0), 20.0)
@@ -511,8 +513,8 @@ def authed_pair(same_group=True, revoke_b=False):
     if revoke_b:
         ta.revoke(cert_b.id)
     ep = EnergyParams()
-    a = PrifRouter(0, "G1", cert_a, ctx, ep, 10_000)
-    b = PrifRouter(1, gid_b, cert_b, ctx, ep, 10_000)
+    a = PrifRouter(0, "G1", cert_a, ctx, ep)
+    b = PrifRouter(1, gid_b, cert_b, ctx, ep)
     return a, b
 
 

@@ -57,6 +57,7 @@ _EXPIRY = ("tests/test_model.py::TestExpiry",)
 _ROUTING_AND_SIM = ("tests/test_routing.py", "tests/test_sim.py")
 _RAGGED_ROUNDS = ("tests/test_sim.py::TestBuildOracles::"
                   "test_ragged_rounds_and_horizon_on_a_leg_end",)
+_EPIDEMIC = "tests/test_baselines.py::TestEpidemic::"
 
 MUTANTS = [
     Mutant(
@@ -137,6 +138,26 @@ MUTANTS = [
         ("tests/test_sim.py::TestBuildOracles::"
          "test_pauses_past_the_horizon_give_one_leg_each",),
         "each node's clock runs along its own row of legs"),
+    Mutant(
+        "schedule-ignores-peer-delivered", "src/prif/routing.py",
+        "known = self.delivered_mask | peer.delivered_mask",
+        "known = self.delivered_mask",
+        (_EPIDEMIC + "test_hold_when_peer_already_delivered",),
+        "a copy the peer knows delivered is not offered to it, even before "
+        "delivery notices are exchanged"),
+    Mutant(
+        "schedule-ignores-held", "src/prif/routing.py",
+        "if m.msg_id not in held and not known >> m.msg_id & 1]",
+        "if not known >> m.msg_id & 1]",
+        (_EPIDEMIC + "test_hold_when_peer_has_copy",),
+        "a copy the peer already holds is not offered to it again"),
+    Mutant(
+        "antipackets-union-one-way", "src/prif/routing.py",
+        "        self.delivered_mask = other.delivered_mask = (\n"
+        "            self.delivered_mask | other.delivered_mask)\n",
+        "        self.delivered_mask |= other.delivered_mask\n",
+        ("tests/test_routing.py::TestAntipackets::test_sets_union_both_ways",),
+        "both sides of a gossip leave it knowing every delivery either knew"),
 ]
 
 
