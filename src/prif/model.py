@@ -1,8 +1,9 @@
 """Shared domain vocabulary: node identities, interests, messages, contacts.
 
-All simulation times are float seconds from run start.  Message TTLs are
-configured in minutes (the conventional unit for DTN workloads) and converted
-exactly to seconds wherever they are compared against ages.
+All simulation times are float seconds from run start.  TTLs are configured
+in minutes (the conventional unit for DTN workloads) and converted exactly to
+seconds wherever they are compared against ages.  A TTL belongs to a buffer,
+not to the one ``Message`` that every buffer and copy shares.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ class Message:
     a sealed opaque token readable only by the destination.  ``dest_community``
     is the destination router's community label: its opaque group id under
     ``prif``, so the interest never travels, and its plain interest number
-    under ``prif-noprivacy``; epidemic and PRoPHET ignore it.
+    under ``prif-noprivacy``; epidemic and PRoPHET ignore it.  A buffered
+    copy is the message plus its hop count (see ``routing.Buffer``).
     """
 
     msg_id: int
@@ -33,26 +35,20 @@ class Message:
     dest_community: Hashable
     size_bytes: int
     created_at: SimTime
-    ttl_min: float
-    hop_count: int = 0
     payload: bytes = b""
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise ValueError("message size must be positive")
-        if self.ttl_min <= 0:
-            raise ValueError("message ttl must be positive")
-        if self.hop_count < 0:
-            raise ValueError("hop count cannot be negative")
 
 
-def message_is_expired(m: Message, now: SimTime) -> bool:
-    """True iff the message age strictly exceeds its TTL.
+def message_is_expired(m: Message, ttl_min: float, now: SimTime) -> bool:
+    """True iff the message age strictly exceeds ``ttl_min`` minutes.
 
     A message exactly at TTL age is still alive; the boundary rule is strict
     inequality and is relied on by buffer purging and metrics.
     """
-    return now - m.created_at > m.ttl_min * SECONDS_PER_MINUTE
+    return now - m.created_at > ttl_min * SECONDS_PER_MINUTE
 
 
 @dataclass(frozen=True)

@@ -123,14 +123,15 @@ def interest_wire_bytes(interest: int) -> bytes:
     return INTEREST_MARKER + str(interest).encode()
 
 
-def encode_message_header(m: Message, community_label: bytes) -> bytes:
-    """Routable header bytes: ids, sizing, timing, and the community label.
+def encode_message_header(m: Message, ttl_min: float, hops: int,
+                          community_label: bytes) -> bytes:
+    """Routable header bytes: ids, timing, TTL, hop count and community label.
 
     The label is the destination group id for the privacy-preserving router
     and a plaintext interest announcement for the no-privacy one.
     """
     fixed = struct.pack(">qqqddq", m.msg_id, m.source, m.destination,
-                        m.created_at, m.ttl_min, m.hop_count)
+                        m.created_at, ttl_min, hops)
     return b"MSG" + fixed + len(community_label).to_bytes(4, "big") + community_label
 
 
@@ -139,74 +140,79 @@ def encode_message_header(m: Message, community_label: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 class Buffer:
-    """Capacity-bounded message store preserving insertion order.
+    """Capacity-bounded store of copies under one TTL, in insertion order.
 
-    Every query scans the insertion-ordered copies: no preset buffer holds
-    more than a few dozen.  Two floats keep the expiry scan off the common
-    path: ``_oldest`` is at most every buffered ``created_at`` and
-    ``_shortest`` at most every ``ttl_min``.  ``add`` lowers them, each
-    expiry scan resets them from the survivors, and a removal leaves them
-    low, which costs at most a needless scan.  Float subtraction and
-    multiplication are monotone, so when ``maybe_expired`` is False no copy
-    is expired under ``message_is_expired``.
+    A copy is a shared ``Message`` and the hops it has travelled, kept as
+    ``msg_id -> (message, hops)``; every copy lives ``ttl_min`` minutes, its
+    scenario's.  Every query scans the copies: no preset buffer holds more
+    than a few dozen.  One float keeps the expiry scan off the common path:
+    ``_oldest`` is at most every buffered ``created_at``.  ``add`` lowers
+    it, each expiry scan resets it from the survivors, and a removal leaves
+    it low, which costs at most a needless scan.  Float subtraction is
+    monotone, so when ``maybe_expired`` is False no copy is expired under
+    ``message_is_expired``.
     """
 
-    def __init__(self, capacity_bytes: int) -> None:
+    def __init__(self, capacity_bytes: int, ttl_min: float) -> None:
         if capacity_bytes <= 0:
             raise ValueError("buffer capacity must be positive")
+        if not 0.0 < ttl_min < math.inf:
+            raise ValueError("buffer ttl must be positive and finite")
         self.capacity_bytes = capacity_bytes
-        self._msgs: dict[int, Message] = {}
+        self.ttl_min = ttl_min
+        self._copies: dict[int, tuple[Message, int]] = {}
         self._used = 0
         self._oldest = math.inf
-        self._shortest = math.inf
 
     def __contains__(self, msg_id: int) -> bool:
-        return msg_id in self._msgs
+        return msg_id in self._copies
 
     @property
     def used_bytes(self) -> int:
         return self._used
 
     def messages(self) -> list[Message]:
-        return list(self._msgs.values())
+        return [m for m, _ in self._copies.values()]
 
-    def add(self, m: Message) -> None:
+    def hops(self, msg_id: int) -> int:
+        """The hops the buffered copy of ``msg_id`` has travelled."""
+        return self._copies[msg_id][1]
+
+    def add(self, m: Message, hops: int) -> None:
         mid = m.msg_id
-        if mid in self._msgs:
+        if mid in self._copies:
             raise ValueError(f"message {mid} already buffered")
         if self._used + m.size_bytes > self.capacity_bytes:
             raise ValueError("buffer overflow; evict before adding")
-        self._msgs[mid] = m
+        self._copies[mid] = (m, hops)
         self._used += m.size_bytes
         if m.created_at < self._oldest:
             self._oldest = m.created_at
-        if m.ttl_min < self._shortest:
-            self._shortest = m.ttl_min
 
     def remove(self, msg_id: int) -> Message:
-        m = self._msgs.pop(msg_id)
+        m = self._copies.pop(msg_id)[0]
         self._used -= m.size_bytes
         return m
 
     def maybe_expired(self, now: SimTime) -> bool:
         """False only if no buffered copy has expired at ``now``."""
-        return now - self._oldest > self._shortest * SECONDS_PER_MINUTE
+        return now - self._oldest > self.ttl_min * SECONDS_PER_MINUTE
 
     def pop_expired(self, now: SimTime) -> list[Message]:
         """Remove and return every expired copy, in insertion order."""
         if not self.maybe_expired(now):
             return []
-        dead = [m for m in self._msgs.values() if message_is_expired(m, now)]
+        ttl_min = self.ttl_min
+        dead = [m for m in self.messages() if message_is_expired(m, ttl_min, now)]
         for m in dead:
             self.remove(m.msg_id)
-        live = self._msgs.values()
-        self._oldest = min((m.created_at for m in live), default=math.inf)
-        self._shortest = min((m.ttl_min for m in live), default=math.inf)
+        self._oldest = min((m.created_at for m, _ in self._copies.values()),
+                           default=math.inf)
         return dead
 
     def pop_oldest(self) -> Message:
         """Remove and return the copy first by ``(created_at, msg_id)``."""
-        oldest = min(self._msgs.values(), key=attrgetter("created_at", "msg_id"))
+        oldest = min(self.messages(), key=attrgetter("created_at", "msg_id"))
         return self.remove(oldest.msg_id)
 
 
@@ -279,26 +285,29 @@ class Carrier:
     ``knows_delivered`` is the membership test.
     """
 
-    def __init__(self, router: Router, capacity_bytes: int) -> None:
+    def __init__(self, router: Router, capacity_bytes: int, ttl_min: float) -> None:
         self.router = router
         self.node = router.node
-        self.buffer = Buffer(capacity_bytes)
+        self.buffer = Buffer(capacity_bytes, ttl_min)
         self.delivered_mask = 0
 
     def schedule_messages(self, peer: "Carrier", now: SimTime) -> list[Message]:
         """Outbound plan for one contact: drop dead copies, skip what the
         peer already has or either side knows delivered, order the rest."""
-        msgs = self.buffer.messages()
-        if self.buffer.maybe_expired(now):
-            msgs = [m for m in msgs if not message_is_expired(m, now)]
+        buf = self.buffer
+        msgs = buf.messages()
+        if buf.maybe_expired(now):
+            msgs = [m for m in msgs if not message_is_expired(m, buf.ttl_min, now)]
         held = peer.buffer
         known = self.delivered_mask | peer.delivered_mask
         candidates = [m for m in msgs
                       if m.msg_id not in held and not known >> m.msg_id & 1]
         return self.router.schedule_order(candidates, now, peer.router)
 
-    def admit(self, m: Message, now: SimTime) -> tuple[bool, list[Message], list[Message]]:
-        """Admit a message, evicting in eviction order if needed.
+    def admit(self, m: Message, hops: int,
+              now: SimTime) -> tuple[bool, list[Message], list[Message]]:
+        """Admit a copy ``hops`` hops from its source, evicting in eviction
+        order if needed.
 
         Returns (admitted, evicted, expired-purged).  A message larger than
         the whole buffer is rejected outright.
@@ -310,7 +319,7 @@ class Carrier:
         evicted: list[Message] = []
         if buf.used_bytes + m.size_bytes > buf.capacity_bytes:
             evicted = self.router.evict_for(buf, m.size_bytes, now)
-        buf.add(m)
+        buf.add(m, hops)
         return True, evicted, purged
 
     # -- delivery and anti-packets ---------------------------------------------------
@@ -452,13 +461,3 @@ class PrifRouter(Router):
                 break
             evicted.append(buf.remove(victim.msg_id))
         return evicted
-
-
-def relay_copy(m: Message) -> Message:
-    """The copy a transfer hands to the next carrier; one hop further on.
-
-    Built field by field, in about half the time ``dataclasses.replace``
-    takes; it runs at every transfer."""
-    return Message(m.msg_id, m.source, m.destination, m.dest_community,
-                   m.size_bytes, m.created_at, m.ttl_min, m.hop_count + 1,
-                   m.payload)

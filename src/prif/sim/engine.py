@@ -21,8 +21,10 @@ delivery knowledge, plus the lane's ledger and event list.  Within a step the
 order is a one-lane replay's: a contact start runs the setup once and gives
 every lane the same outcome and frames; a contact end runs each lane's
 delivery notices and transfers, then the updates once; a creation seals once
-and gives each lane its own ``Message``.  So each lane's report and events
-equal a replay of its scenario alone, and ``run`` is a one-lane replay.
+and builds the one ``Message`` that every lane and every copy shares.  A
+buffered copy is that message and its hop count, and the TTL is the lane's.
+So each lane's report and events equal a replay of its scenario alone, and
+``run`` is a one-lane replay.
 
 A replay can append its events to a list as ``(t, kind, a, b, x)``: the
 ``TRACE_KINDS`` of the text trace (``x`` a message id), ``decide`` (``x`` =
@@ -39,7 +41,7 @@ from .. import auth
 from ..baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
 from ..model import ContactEvent, Message
 from ..routing import (Action, AuthContext, Carrier, PrifRouter, Router,
-                       encode_message_header, relay_copy, seal_payload)
+                       encode_message_header, seal_payload)
 from .metrics import MetricsLedger, MetricsReport
 from .scenario import MB, Scenario
 from .trace import ContactTrace, build_trace, stream_seed, _STREAM_CRYPTO
@@ -69,7 +71,7 @@ class Lane:
     def __init__(self, scenario: Scenario, routers: dict[int, Router],
                  events: list[Event] | None) -> None:
         self.scenario = scenario
-        self.carriers = {node: Carrier(r, scenario.buffer_bytes)
+        self.carriers = {node: Carrier(r, scenario.buffer_bytes, scenario.ttl_min)
                          for node, r in routers.items()}
         self.ledger = MetricsLedger()
         self.events = events
@@ -89,20 +91,17 @@ class Lane:
         for v in evicted:
             self._gone(now, node, v, "evict")
 
-    def create(self, p, dest_community, sealed: bytes) -> None:
-        m = Message(msg_id=p.msg_id, source=p.source, destination=p.destination,
-                    dest_community=dest_community, size_bytes=p.size_bytes,
-                    created_at=p.t, ttl_min=self.scenario.ttl_min,
-                    hop_count=0, payload=sealed)
+    def create(self, m: Message) -> None:
+        t, source = m.created_at, m.source
         self.ledger.on_create(m)
-        self._emit(p.t, "create", p.source, p.destination, p.msg_id)
-        admitted, evicted, purged = self.carriers[p.source].admit(m, p.t)
-        self._account_buffer_fallout(p.t, p.source, evicted, purged)
+        self._emit(t, "create", source, m.destination, m.msg_id)
+        admitted, evicted, purged = self.carriers[source].admit(m, 0, t)
+        self._account_buffer_fallout(t, source, evicted, purged)
         if admitted:
             self.ledger.on_admit(m)
         else:
             self.ledger.on_reject(m)
-            self._emit(p.t, "reject", p.source, None, p.msg_id)
+            self._emit(t, "reject", source, None, m.msg_id)
 
     def contact_end(self, c: ContactEvent, ok: bool, budget_ab: float,
                     budget_ba: float) -> None:
@@ -121,8 +120,8 @@ class Lane:
     def _transfer(self, carrier: Carrier, peer: Carrier, budget: float, now: float) -> None:
         if budget <= 0:
             return
-        events = self.events
-        router, peer_router = carrier.router, peer.router
+        events, ttl_min = self.events, self.scenario.ttl_min
+        router, peer_router, hops_of = carrier.router, peer.router, carrier.buffer.hops
         for m in carrier.schedule_messages(peer, now):
             decision = router.decide(peer_router, m, now)
             if events is not None:
@@ -135,31 +134,31 @@ class Lane:
                 self._emit(now, "partial", carrier.node, peer.node, m.msg_id)
                 break
             budget -= m.size_bytes
-            copy = relay_copy(m)
-            self.ledger.on_relay(copy)
+            hops = hops_of(m.msg_id) + 1
+            self.ledger.on_relay()
             if events is not None:
-                header = encode_message_header(copy, router.header_label(copy))
+                header = encode_message_header(m, ttl_min, hops, router.header_label(m))
                 events.append((now, "frame", carrier.node, peer.node, header))
-                events.append((now, "frame", carrier.node, peer.node, copy.payload))
+                events.append((now, "frame", carrier.node, peer.node, m.payload))
             if decision.action is Action.DELIVER:
-                first = peer.accept_delivery(copy)
-                self.ledger.on_delivered(copy, first)
+                first = peer.accept_delivery(m)
+                self.ledger.on_delivered(m, hops, first)
                 self._emit(now, "deliver" if first else "dup",
-                           carrier.node, peer.node, copy.msg_id)
+                           carrier.node, peer.node, m.msg_id)
                 own = carrier.mark_delivered(m.msg_id)
                 if own is not None:
                     self._gone(now, carrier.node, own, "handoff")
                 if first and self.scenario.antipacket_mode == "instant":
-                    self._instant_discard(copy.msg_id, now)
+                    self._instant_discard(m.msg_id, now)
             else:
-                admitted, evicted, purged = peer.admit(copy, now)
+                admitted, evicted, purged = peer.admit(m, hops, now)
                 self._account_buffer_fallout(now, peer.node, evicted, purged)
                 if admitted:
-                    self._emit(now, "relay", carrier.node, peer.node, copy.msg_id)
+                    self._emit(now, "relay", carrier.node, peer.node, m.msg_id)
                     if self.scenario.forward_and_delete:
                         carrier.buffer.remove(m.msg_id)
                     else:
-                        self.ledger.on_admit(copy)
+                        self.ledger.on_admit(m)
 
     def _instant_discard(self, msg_id: int, now: float) -> None:
         for node, carrier in self.carriers.items():
@@ -239,8 +238,10 @@ class ReplayEngine:
     def _on_create(self, p) -> None:
         dest_router = self.routers[p.destination]
         sealed = seal_payload(p.token, dest_router.pseudo_identity(), p.nonce)
+        m = Message(p.msg_id, p.source, p.destination, dest_router.community,
+                    p.size_bytes, p.t, sealed)
         for lane in self.lanes:
-            lane.create(p, dest_router.community, sealed)
+            lane.create(m)
 
     def _on_contact_start(self, c: ContactEvent) -> None:
         ra, rb = self.routers[c.a], self.routers[c.b]

@@ -91,7 +91,7 @@ class MetricsLedger:
     def on_admit(self, m: Message) -> None:
         self.copies[m.msg_id] = self.copies.get(m.msg_id, 0) + 1
 
-    def on_relay(self, m: Message) -> None:
+    def on_relay(self) -> None:
         self.relays += 1
 
     def on_copy_gone(self, m: Message, cause: str) -> None:
@@ -106,9 +106,9 @@ class MetricsLedger:
         elif cause != "handoff":   # handoff: copy left with the destination
             raise ValueError(f"unknown copy death cause {cause!r}")
 
-    def on_delivered(self, m: Message, first: bool) -> None:
+    def on_delivered(self, m: Message, hops: int, first: bool) -> None:
         if first:
-            self.delivered_hops[m.msg_id] = m.hop_count
+            self.delivered_hops[m.msg_id] = hops
         else:
             self.duplicates += 1
 

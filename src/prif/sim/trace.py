@@ -107,7 +107,7 @@ def build_contacts(scenario: Scenario) -> list[ContactEvent]:
     return contacts
 
 
-def build_plan(scenario: Scenario, interests: np.ndarray) -> list[MessagePlan]:
+def build_plan(scenario: Scenario) -> list[MessagePlan]:
     """Traffic schedule: one uniform inter-arrival process after warmup
     (default), or one process per generating node when ``arrival_mode`` is
     per-node.  Sources draw from generating nodes, destinations uniformly
@@ -155,7 +155,7 @@ def build_trace(scenario: Scenario) -> ContactTrace:
     scenario.validate()
     interests = assign_interests(scenario)
     contacts = build_contacts(scenario)
-    plan = build_plan(scenario, interests)
+    plan = build_plan(scenario)
     interests.flags.writeable = False
     return ContactTrace(duration=scenario.duration, interests=interests,
                         contacts=tuple(contacts), plan=tuple(plan))

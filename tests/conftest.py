@@ -17,9 +17,10 @@ def make_plain_router(node, community, params=None):
                       energy_params=params or EnergyParams())
 
 
-def make_plain_carrier(node, community, capacity=10_000_000, params=None):
+def make_plain_carrier(node, community, capacity=10_000_000, params=None,
+                       ttl_min=600.0):
     """A carrier over ``make_plain_router``, for message-layer tests."""
-    return Carrier(make_plain_router(node, community, params), capacity)
+    return Carrier(make_plain_router(node, community, params), capacity, ttl_min)
 
 
 def set_inter(router, peer, value, now):

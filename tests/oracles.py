@@ -9,6 +9,8 @@ buffer are the references for the batched and plane-backed versions and for
 the buffer's expiry bound and eviction order.  ``predict_inter`` and
 ``predict_intra`` are the moving average that the energy reads inline.
 ``positions_at`` samples leg arrays at arbitrary times for kernel tests.
+``foremost_journeys`` is the definition of the earliest possible delivery
+that whole replays are checked against.
 """
 
 import math
@@ -217,9 +219,10 @@ class SetBufferNode:
     eviction, and a set of delivered ids.  Reference for ``Buffer`` and the
     ``Carrier`` admission, schedule filter and anti-packet methods."""
 
-    def __init__(self, node, capacity_bytes):
+    def __init__(self, node, capacity_bytes, ttl_min):
         self.node = node
         self.capacity_bytes = capacity_bytes
+        self.ttl_min = ttl_min
         self.msgs = {}
         self.delivered_ids = set()
 
@@ -227,7 +230,8 @@ class SetBufferNode:
         return sum(m.size_bytes for m in self.msgs.values())
 
     def pop_expired(self, now):
-        dead = [m for m in self.msgs.values() if message_is_expired(m, now)]
+        dead = [m for m in self.msgs.values()
+                if message_is_expired(m, self.ttl_min, now)]
         for m in dead:
             del self.msgs[m.msg_id]
         return dead
@@ -253,7 +257,7 @@ class SetBufferNode:
         """The schedule filter: live, not held by the peer, not known
         delivered on either side; buffer order."""
         return [m for m in self.msgs.values()
-                if not message_is_expired(m, now)
+                if not message_is_expired(m, self.ttl_min, now)
                 and m.msg_id not in peer.msgs
                 and m.msg_id not in peer.delivered_ids
                 and m.msg_id not in self.delivered_ids]
@@ -269,3 +273,34 @@ class SetBufferNode:
         dropped_self = [self.msgs.pop(mid) for mid in sorted(union & set(self.msgs))]
         dropped_other = [other.msgs.pop(mid) for mid in sorted(union & set(other.msgs))]
         return dropped_self, dropped_other
+
+
+def foremost_journeys(trace):
+    """Each reachable message's earliest possible delivery time, as
+    ``{msg_id: time}``.
+
+    A foremost journey (Bui-Xuan, Ferreira and Jarry, "Computing shortest,
+    fastest, and foremost journeys in dynamic networks", IJFCS 2003) over
+    the trace, timed as a replay times it: creations and contact ends in
+    the engine's queue order (by time, creations first, then list order),
+    and a copy crossing a contact at its end.  Every contact is taken as
+    usable, with room and time for every copy and no TTL, so no router can
+    deliver a message this map lacks, or deliver it earlier.
+    """
+    queue = sorted([(p.t, 1, p) for p in trace.plan]
+                   + [(c.end, 2, c) for c in trace.contacts],
+                   key=lambda e: (e[0], e[1]))
+    holders = {}        # msg_id -> (destination, nodes that carry it)
+    arrival = {}
+    for t, kind, x in queue:
+        if kind == 1:
+            holders[x.msg_id] = (x.destination, {x.source})
+            continue
+        for mid, (dest, nodes) in list(holders.items()):
+            if x.a in nodes or x.b in nodes:
+                if dest == x.a or dest == x.b:
+                    arrival[mid] = t
+                    del holders[mid]
+                else:
+                    nodes.update((x.a, x.b))
+    return arrival

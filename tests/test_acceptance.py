@@ -228,7 +228,7 @@ class TestCriterion3:
             set_intra(peer, dest_comm, ec_p, now)
             m = Message(msg_id=1, source=0, destination=dest,
                         dest_community=dest_comm, size_bytes=10, created_at=0.0,
-                        ttl_min=600.0, payload=b"x")
+                        payload=b"x")
             got = carrier.decide(peer, m, now).action.value
             want = forwarding_reference(peer_is_dest, carrier_comm, peer_comm,
                                         dest_comm, ei_c, ei_p, ec_c, ec_p)
@@ -260,9 +260,8 @@ class TestCriterion4:
                     destination=rng.choice([7, 8]),
                     dest_community=rng.choice(["D", "B1", "B2"]),
                     size_bytes=rng.randint(1, capacity + 50),
-                    created_at=float(rng.randint(0, 900)),
-                    ttl_min=600.0, payload=b"x")
-                carrier.admit(m, now)
+                    created_at=float(rng.randint(0, 900)), payload=b"x")
+                carrier.admit(m, 0, now)
                 if carrier.buffer.used_bytes > carrier.buffer.capacity_bytes:
                     violations += 1
             # eviction is the schedule reversed, exactly so while no two

@@ -17,10 +17,10 @@ NOW = 500.0
 
 
 def msg(msg_id=1, source=0, destination=9, dest_community=3,
-        size=100, created_at=0.0, ttl_min=600.0, payload=b"p"):
+        size=100, created_at=0.0, payload=b"p"):
     return Message(msg_id=msg_id, source=source, destination=destination,
                    dest_community=dest_community, size_bytes=size,
-                   created_at=created_at, ttl_min=ttl_min, payload=payload)
+                   created_at=created_at, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ class TestEpidemic:
 
     def _carriers(self):
         a, b = self._pair()
-        return Carrier(a, 10_000), Carrier(b, 10_000)
+        return Carrier(a, 10_000, 600.0), Carrier(b, 10_000, 600.0)
 
     def test_relay_when_peer_lacks(self):
         a, b = self._pair()
@@ -47,9 +47,9 @@ class TestEpidemic:
         sees it."""
         a, b = self._carriers()
         m = msg()
-        a.admit(m, NOW)
+        a.admit(m, 0, NOW)
         assert a.schedule_messages(b, NOW) == [m]
-        b.admit(m, NOW)
+        b.admit(m, 0, NOW)
         assert a.schedule_messages(b, NOW) == []
 
     def test_deliver_at_destination(self):
@@ -61,16 +61,16 @@ class TestEpidemic:
         exchange of delivery notices."""
         a, b = self._carriers()
         m = msg()
-        a.admit(m, NOW)
+        a.admit(m, 0, NOW)
         b.mark_delivered(m.msg_id)
         assert a.schedule_messages(b, NOW) == []
         assert not a.knows_delivered(m.msg_id) and m.msg_id in a.buffer
 
     def test_drop_oldest_eviction(self):
-        a = Carrier(EpidemicRouter(0, 0), 300)
-        a.admit(msg(msg_id=1, size=150, created_at=10.0), NOW)
-        a.admit(msg(msg_id=2, size=150, created_at=20.0), NOW)
-        _, evicted, _ = a.admit(msg(msg_id=3, size=150, created_at=30.0), NOW)
+        a = Carrier(EpidemicRouter(0, 0), 300, 600.0)
+        a.admit(msg(msg_id=1, size=150, created_at=10.0), 0, NOW)
+        a.admit(msg(msg_id=2, size=150, created_at=20.0), 0, NOW)
+        _, evicted, _ = a.admit(msg(msg_id=3, size=150, created_at=30.0), 0, NOW)
         assert [v.msg_id for v in evicted] == [1]
 
 

@@ -7,41 +7,35 @@ from prif.model import ContactEvent, Message, message_is_expired
 
 def make_msg(**kw):
     base = dict(msg_id=1, source=0, destination=1, dest_community="G0",
-                size_bytes=1000, created_at=0.0,
-                ttl_min=600.0, hop_count=0, payload=b"x")
+                size_bytes=1000, created_at=0.0, payload=b"x")
     base.update(kw)
     return Message(**base)
 
 
 class TestExpiry:
     def test_alive_exactly_at_ttl_boundary(self):
-        m = make_msg(created_at=0.0, ttl_min=600.0)
-        assert message_is_expired(m, 36_000.0) is False
+        m = make_msg(created_at=0.0)
+        assert message_is_expired(m, 600.0, 36_000.0) is False
 
     def test_dead_one_second_past_boundary(self):
-        m = make_msg(created_at=0.0, ttl_min=600.0)
-        assert message_is_expired(m, 36_001.0) is True
+        m = make_msg(created_at=0.0)
+        assert message_is_expired(m, 600.0, 36_001.0) is True
 
     def test_zero_age_alive(self):
-        m = make_msg(created_at=100.0, ttl_min=600.0)
-        assert message_is_expired(m, 100.0) is False
+        m = make_msg(created_at=100.0)
+        assert message_is_expired(m, 600.0, 100.0) is False
 
     def test_ttl_minutes_convert_exactly(self):
-        half = make_msg(created_at=0.0, ttl_min=0.5)
-        assert message_is_expired(half, 30.0) is False
-        assert message_is_expired(half, math.nextafter(30.0, math.inf)) is True
-        assert message_is_expired(make_msg(created_at=0.0, ttl_min=600.0),
-                                  36_000.0) is False
+        m = make_msg(created_at=0.0)
+        assert message_is_expired(m, 0.5, 30.0) is False
+        assert message_is_expired(m, 0.5, math.nextafter(30.0, math.inf)) is True
+        assert message_is_expired(m, 600.0, 36_000.0) is False
 
 
 class TestMessage:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(ValueError):
             make_msg(size_bytes=0)
-
-    def test_rejects_negative_hops(self):
-        with pytest.raises(ValueError):
-            make_msg(hop_count=-1)
 
 
 class TestContactEvent:

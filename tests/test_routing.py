@@ -1,6 +1,8 @@
-import dataclasses
+import math
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,9 @@ from prif.energy import EnergyParams
 from prif.model import ContactEvent, Message, message_is_expired
 from prif.routing import (Action, AuthContext, Buffer, Carrier, ForwardDecision,
                           PrifRouter, Reason, SealError, encode_message_header,
-                          relay_copy, seal_payload, unseal_payload)
+                          seal_payload, unseal_payload)
+from prif.sim import GroupSpec, Scenario, run
+from prif.sim.trace import ContactTrace, MessagePlan
 
 from conftest import (link_sessions, make_plain_carrier, make_plain_router,
                       random_nonce, set_inter, set_intra)
@@ -21,11 +25,10 @@ NOW = 1000.0
 
 
 def msg(msg_id=1, source=0, destination=9, dest_community="D",
-        size=100, created_at=0.0, ttl_min=600.0, hop_count=0, payload=b"p"):
+        size=100, created_at=0.0, payload=b"p"):
     return Message(msg_id=msg_id, source=source, destination=destination,
                    dest_community=dest_community, size_bytes=size,
-                   created_at=created_at, ttl_min=ttl_min,
-                   hop_count=hop_count, payload=payload)
+                   created_at=created_at, payload=payload)
 
 
 # ---------------------------------------------------------------------------
@@ -185,16 +188,16 @@ class TestScheduling:
         assert [m.msg_id for m in order] == [3, 4]
 
     def test_schedule_skips_peer_held_and_dead(self):
-        c = Carrier(self._router(), 1000)
+        c = Carrier(self._router(), 1000, 600.0)
         peer = make_plain_carrier(1, "D")
         link_sessions(c.router, peer.router)
         live = msg(msg_id=1, destination=7, dest_community="D", created_at=NOW - 10)
         held = msg(msg_id=2, destination=7, dest_community="D", created_at=NOW - 10)
         dead = msg(msg_id=3, destination=7, dest_community="D",
-                   created_at=NOW - 700 * 60, ttl_min=600.0)
+                   created_at=NOW - 700 * 60)
         for m in (live, held, dead):
-            c.admit(m, NOW - 1)
-        peer.admit(held, NOW - 1)
+            c.admit(m, 0, NOW - 1)
+        peer.admit(held, 0, NOW - 1)
         plan = c.schedule_messages(peer, NOW)
         assert [m.msg_id for m in plan] == [1]
 
@@ -229,10 +232,10 @@ class TestAdmission:
         set_intra(c.router, "B", 0.5, NOW)
         b1 = msg(msg_id=1, destination=5, dest_community="B", size=150)
         b2 = msg(msg_id=2, destination=6, dest_community="B", size=150)
-        c.admit(b1, NOW)
-        c.admit(b2, NOW)
+        c.admit(b1, 0, NOW)
+        c.admit(b2, 0, NOW)
         incoming = msg(msg_id=3, destination=7, dest_community="D", size=150)
-        admitted, evicted, _ = c.admit(incoming, NOW)
+        admitted, evicted, _ = c.admit(incoming, 0, NOW)
         assert admitted
         assert all(v.dest_community == "B" for v in evicted)
 
@@ -242,10 +245,10 @@ class TestAdmission:
         set_intra(c.router, "B2", 0.01, NOW)
         strong = msg(msg_id=1, destination=5, dest_community="B1", size=150)
         weak = msg(msg_id=2, destination=6, dest_community="B2", size=150)
-        c.admit(strong, NOW)
-        c.admit(weak, NOW)
+        c.admit(strong, 0, NOW)
+        c.admit(weak, 0, NOW)
         admitted, evicted, _ = c.admit(msg(msg_id=3, destination=7,
-                                           dest_community="D", size=150), NOW)
+                                           dest_community="D", size=150), 0, NOW)
         assert admitted and [v.msg_id for v in evicted] == [2]
 
     def test_older_evicted_on_equal_energy(self):
@@ -253,25 +256,25 @@ class TestAdmission:
         set_intra(c.router, "B", 0.5, NOW)
         older = msg(msg_id=1, destination=5, dest_community="B", size=150, created_at=10.0)
         newer = msg(msg_id=2, destination=6, dest_community="B", size=150, created_at=20.0)
-        c.admit(newer, NOW)
-        c.admit(older, NOW)
+        c.admit(newer, 0, NOW)
+        c.admit(older, 0, NOW)
         admitted, evicted, _ = c.admit(msg(msg_id=3, destination=7,
-                                           dest_community="D", size=150), NOW)
+                                           dest_community="D", size=150), 0, NOW)
         assert admitted and [v.msg_id for v in evicted] == [1]
 
     def test_oversize_rejected_buffer_untouched(self):
         c = make_plain_carrier(0, "D", capacity=300)
         keep = msg(msg_id=1, destination=5, dest_community="B", size=100)
-        c.admit(keep, NOW)
-        admitted, evicted, _ = c.admit(msg(msg_id=2, size=301), NOW)
+        c.admit(keep, 0, NOW)
+        admitted, evicted, _ = c.admit(msg(msg_id=2, size=301), 0, NOW)
         assert not admitted and not evicted
         assert 1 in c.buffer
 
     def test_expired_purged_before_admission(self):
-        c = make_plain_carrier(0, "D", capacity=300)
-        stale = msg(msg_id=1, created_at=0.0, ttl_min=1.0, size=200)
-        c.admit(stale, 30.0)
-        _, _, purged = c.admit(msg(msg_id=2, size=200), 100.0)
+        c = make_plain_carrier(0, "D", capacity=300, ttl_min=1.0)
+        stale = msg(msg_id=1, created_at=0.0, size=200)
+        c.admit(stale, 0, 30.0)
+        _, _, purged = c.admit(msg(msg_id=2, created_at=90.0, size=200), 0, 100.0)
         assert [v.msg_id for v in purged] == [1]
 
     @settings(max_examples=200, deadline=None)
@@ -281,7 +284,7 @@ class TestAdmission:
         c = make_plain_carrier(0, "D", capacity=500)
         for i, (size, created) in enumerate(ops):
             c.admit(msg(msg_id=i, size=size, created_at=float(created),
-                        dest_community="B"), NOW)
+                        dest_community="B"), 0, NOW)
             assert c.buffer.used_bytes <= c.buffer.capacity_bytes
 
 
@@ -298,8 +301,8 @@ class TestDelivery:
     def test_first_copy_counts_then_dedups(self):
         dest = make_plain_carrier(9, "D")
         m = self._sealed_msg(dest)
-        assert dest.accept_delivery(relay_copy(m)) is True
-        assert dest.accept_delivery(relay_copy(m)) is False
+        assert dest.accept_delivery(m) is True
+        assert dest.accept_delivery(m) is False
         assert dest.knows_delivered(m.msg_id)
 
     def test_wrong_node_raises(self):
@@ -316,19 +319,29 @@ class TestDelivery:
         with pytest.raises(SealError):
             dest.accept_delivery(bad)
 
-    def test_hop_counting(self):
-        m = msg(hop_count=0)
-        assert relay_copy(m).hop_count == 1
-        assert relay_copy(relay_copy(m)).hop_count == 2
-
-    def test_relay_copy_keeps_every_other_field(self):
-        """relay_copy lists Message's fields itself; a field it missed
-        would fall back to its default here."""
-        m = msg(msg_id=7, source=3, destination=5, dest_community="G7",
-                size=321, created_at=12.5, ttl_min=90.0,
-                hop_count=4, payload=b"sealed")
-        assert relay_copy(m) == dataclasses.replace(m, hop_count=5)
-        assert len(dataclasses.fields(Message)) == 9
+    def test_header_frames_count_hops_along_a_chain(self):
+        """A message relayed 0 -> 1 -> 2 goes out with hop 1 in its first
+        header frame and hop 2 in its second, each with the lane's TTL; the
+        one message object rides in both transfers."""
+        groups = (GroupSpec("g", 3, (1.0, 2.0), (5.0, 10.0), 10.0, 2e6),)
+        sc = Scenario(area=(100.0, 100.0), groups=groups, interests=1,
+                      duration=100.0, warmup=0.0, ttl_min=45.0, router="epidemic")
+        plan = MessagePlan(msg_id=0, t=5.0, source=0, destination=2,
+                           size_bytes=100, token=b"t", nonce=bytes(12))
+        trace = ContactTrace(duration=100.0, interests=np.zeros(3, dtype=np.int64),
+                             contacts=(ContactEvent(0, 1, 10.0, 20.0),
+                                       ContactEvent(1, 2, 30.0, 40.0)),
+                             plan=(plan,))
+        events = []
+        rep = run(sc, trace=trace, events=events)
+        frames = [(a, b, x) for _, kind, a, b, x in events if kind == "frame"]
+        assert [(a, b) for a, b, _ in frames] == [(0, 1), (0, 1), (1, 2), (1, 2)]
+        headers = [x for _, _, x in frames[0::2]]
+        assert all(h[:3] == b"MSG" for h in headers)
+        assert [struct.unpack(">qqqddq", h[3:51]) for h in headers] == [
+            (0, 0, 2, 5.0, 45.0, 1), (0, 0, 2, 5.0, 45.0, 2)]
+        assert frames[1][2] is frames[3][2]
+        assert rep.delivered == 1 and rep.avg_hop_count == 2.0
 
 
 class TestAntipackets:
@@ -336,7 +349,7 @@ class TestAntipackets:
         a = make_plain_carrier(0, "D")
         b = make_plain_carrier(1, "D")
         m = msg(msg_id=1)
-        b.admit(m, NOW)
+        b.admit(m, 0, NOW)
         a.mark_delivered(1)
         dropped_a, dropped_b = a.exchange_antipackets(b)
         assert not dropped_a and [v.msg_id for v in dropped_b] == [1]
@@ -355,7 +368,7 @@ class TestAntipackets:
     def test_empty_sets_noop(self):
         a = make_plain_carrier(0, "D")
         b = make_plain_carrier(1, "D")
-        b.admit(msg(msg_id=1), NOW)
+        b.admit(msg(msg_id=1), 0, NOW)
         dropped_a, dropped_b = a.exchange_antipackets(b)
         assert not dropped_a and not dropped_b
         assert 1 in b.buffer
@@ -378,32 +391,31 @@ N_IDS = 12
 _KINDS = ["admit"] * 5 + ["tick", "tick", "expire", "drop", "drop", "mark",
                           "gossip", "schedule"]
 _SIZES = [40, 90, 200, 450]
-_TTLS = [1.0, 2.0, 600.0, 600.0]
-# (kind, node, msg_id, size, age at admission, ttl_min, seconds to advance);
-# each kind reads the fields it needs
+_TTLS = [1.0, 2.0, 600.0]
+# (kind, node, msg_id, size, age at admission, seconds to advance); each
+# kind reads the fields it needs
 _op = st.tuples(st.sampled_from(_KINDS), st.integers(0, 1),
                 st.integers(0, N_IDS - 1), st.sampled_from(_SIZES),
-                st.integers(0, 200), st.sampled_from(_TTLS),
-                st.integers(0, 90))
+                st.integers(0, 200), st.integers(0, 90))
 
 
-def run_against_reference(ops):
-    """Apply ``ops`` to two epidemic carriers and to two ``SetBufferNode``s,
-    asserting equal results and equal buffers and delivery knowledge after
-    each, and that a buffer whose ``maybe_expired`` reads False holds no
-    expired copy."""
-    carriers = [Carrier(EpidemicRouter(n, 0), 1000) for n in range(2)]
-    refs = [SetBufferNode(0, 1000), SetBufferNode(1, 1000)]
+def run_against_reference(ops, ttls):
+    """Apply ``ops`` to two epidemic carriers, with TTLs ``ttls``, and to two
+    ``SetBufferNode``s, asserting equal results and equal buffers and
+    delivery knowledge after each, and that a buffer whose ``maybe_expired``
+    reads False holds no expired copy."""
+    carriers = [Carrier(EpidemicRouter(n, 0), 1000, ttl) for n, ttl in enumerate(ttls)]
+    refs = [SetBufferNode(n, 1000, ttl) for n, ttl in enumerate(ttls)]
     now = 10_000.0
-    for kind, n, mid, size, age, ttl, dt in ops:
+    for kind, n, mid, size, age, dt in ops:
         r, ref = carriers[n], refs[n]
         if kind == "tick":
             now += dt
         elif kind == "admit":
             if mid in ref.msgs:
                 continue
-            m = msg(msg_id=mid, size=size, created_at=now - age, ttl_min=ttl)
-            assert r.admit(m, now) == ref.admit(m, now)
+            m = msg(msg_id=mid, size=size, created_at=now - age)
+            assert r.admit(m, 0, now) == ref.admit(m, now)
         elif kind == "expire":
             assert r.buffer.pop_expired(now) == ref.pop_expired(now)
         elif kind == "drop":
@@ -425,38 +437,40 @@ def run_against_reference(ops):
             assert [r.knows_delivered(i) for i in range(N_IDS)] == [
                 i in ref.delivered_ids for i in range(N_IDS)]
             assert r.buffer.maybe_expired(now) or not any(
-                message_is_expired(m, now) for m in ref.msgs.values())
+                message_is_expired(m, ref.ttl_min, now) for m in ref.msgs.values())
 
 
 class TestBufferOracle:
     """Random admit/expire/evict/gossip sequences give the same lists, in
     the same order, as ``oracles.SetBufferNode``.  Ids are re-added after
-    eviction, expiry and drops, and TTLs of 1, 2 and 600 minutes share one
-    buffer, so the expiry bound goes stale after removals and is reset by
+    eviction, expiry and drops, and each buffer has a TTL of 1, 2 or 600
+    minutes, so the expiry bound goes stale after removals and is reset by
     later scans."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_op, min_size=20, max_size=120))
-    def test_matches_set_and_sort_reference(self, ops):
-        run_against_reference(ops)
+    @given(st.lists(_op, min_size=20, max_size=120),
+           st.tuples(st.sampled_from(_TTLS), st.sampled_from(_TTLS)))
+    def test_matches_set_and_sort_reference(self, ops, ttls):
+        run_against_reference(ops, ttls)
 
     def test_oldest_first_breaks_ties_by_id_across_ttls(self):
-        r = Carrier(EpidemicRouter(0, 0), 300)
-        r.admit(msg(msg_id=5, size=150, created_at=10.0, ttl_min=600.0), 20.0)
-        r.admit(msg(msg_id=3, size=150, created_at=10.0, ttl_min=2.0), 20.0)
-        _, evicted, _ = r.admit(msg(msg_id=7, size=150, created_at=20.0), 20.0)
-        assert [v.msg_id for v in evicted] == [3]
+        for ttl in _TTLS:
+            r = Carrier(EpidemicRouter(0, 0), 300, ttl)
+            r.admit(msg(msg_id=5, size=150, created_at=10.0), 0, 20.0)
+            r.admit(msg(msg_id=3, size=150, created_at=10.0), 0, 20.0)
+            _, evicted, _ = r.admit(msg(msg_id=7, size=150, created_at=20.0), 0, 20.0)
+            assert [v.msg_id for v in evicted] == [3]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_long_sequences_match_reference(self, seed):
         """Sequences long enough that every buffer fills, drains and refills
         many times, with its expiry bound lowered, left stale and reset."""
         rng = random.Random(seed)
+        ttls = (_TTLS[seed % 3], _TTLS[(seed + 1) % 3])
         run_against_reference(
-            (rng.choice(_KINDS), rng.randint(0, 1), rng.randrange(N_IDS),
-             rng.choice(_SIZES), rng.randint(0, 200), rng.choice(_TTLS),
-             rng.randint(0, 90))
-            for _ in range(3_000))
+            ((rng.choice(_KINDS), rng.randint(0, 1), rng.randrange(N_IDS),
+              rng.choice(_SIZES), rng.randint(0, 200), rng.randint(0, 90))
+             for _ in range(3_000)), ttls)
 
 
 # ---------------------------------------------------------------------------
@@ -568,18 +582,28 @@ class TestContactLifecycle:
 class TestHeaderCodec:
     def test_header_contains_label_not_interest_number(self):
         m = msg(dest_community="Gdeadbeef")
-        header = encode_message_header(m, m.dest_community.encode())
+        header = encode_message_header(m, 600.0, 1, m.dest_community.encode())
         assert b"Gdeadbeef" in header
         assert b"INTEREST=" not in header
 
     def test_buffer_basics(self):
-        buf = Buffer(250)
+        buf = Buffer(250, 600.0)
         m1 = msg(msg_id=1, size=100)
-        buf.add(m1)
-        assert buf.used_bytes == 100 and 1 in buf
+        buf.add(m1, 3)
+        assert buf.used_bytes == 100 and 1 in buf and buf.hops(1) == 3
         with pytest.raises(ValueError):
-            buf.add(msg(msg_id=1, size=50))
+            buf.add(msg(msg_id=1, size=50), 0)
         with pytest.raises(ValueError):
-            buf.add(msg(msg_id=2, size=200))
-        buf.remove(1)
+            buf.add(msg(msg_id=2, size=200), 0)
+        assert buf.remove(1) is m1
         assert buf.used_bytes == 0
+
+    @pytest.mark.parametrize("ttl_min", [0.0, -1.0, math.nan, math.inf])
+    def test_buffer_rejects_a_ttl_not_positive_and_finite(self, ttl_min):
+        with pytest.raises(ValueError, match="ttl"):
+            Buffer(250, ttl_min)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_buffer_rejects_a_capacity_not_positive(self, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            Buffer(capacity, 600.0)

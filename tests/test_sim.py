@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -18,8 +19,8 @@ from prif.sim.engine import TRACE_KINDS, ReplayEngine, format_trace
 from prif.sim.scenario import ROUTERS
 from prif.sim.trace import assign_interests, build_contacts, build_plan
 
-from oracles import (all_pairs_transitions, positions_at, reference_itineraries,
-                     reference_positions)
+from oracles import (all_pairs_transitions, foremost_journeys, positions_at,
+                     reference_itineraries, reference_positions)
 
 MB = 1024 * 1024
 
@@ -406,6 +407,11 @@ class TestScenario:
         with pytest.raises(ValueError, match="unknown router"):
             mini_scenario(router="hotpotato").validate()
 
+    @pytest.mark.parametrize("ttl_min", [0.0, -1.0])
+    def test_nonpositive_ttl_rejected(self, ttl_min):
+        with pytest.raises(ValueError, match="ttl must be positive"):
+            mini_scenario(ttl_min=ttl_min).validate()
+
     def test_warmup_must_precede_end(self):
         with pytest.raises(ValueError, match="warmup"):
             mini_scenario(warmup=5000.0, duration=4000.0).validate()
@@ -543,14 +549,14 @@ class TestTrace:
 
     def test_plan_interarrival_range(self):
         sc = mini_scenario()
-        plan = build_plan(sc, assign_interests(sc))
+        plan = build_plan(sc)
         times = [sc.warmup] + [p.t for p in plan]
         for t1, t2 in zip(times, times[1:]):
             assert 20.0 <= t2 - t1 <= 40.0
 
     def test_per_node_arrival_mode(self):
         sc = mini_scenario(arrival_mode="per-node")
-        plan = build_plan(sc, assign_interests(sc))
+        plan = build_plan(sc)
         by_src = {}
         for p in plan:
             by_src.setdefault(p.source, []).append(p.t)
@@ -732,14 +738,21 @@ def digests(scenario):
             hashlib.sha256("\n".join(lines).encode()).hexdigest())
 
 
-def mode_scenario(mode, **kw):
-    """The golden runs' scenario for an antipacket mode, ``forward-and-delete``
-    or ``charged`` (handshake bytes charged on the slow links)."""
+def with_mode(sc, mode):
+    """``sc`` with an antipacket mode, ``forward-and-delete`` or ``charged``
+    (handshake bytes charged)."""
     if mode == "charged":
-        return slow_link_scenario(charge_handshake_bytes=True, **kw)
+        return sc.with_overrides(charge_handshake_bytes=True)
     if mode == "forward-and-delete":
-        return mini_scenario(forward_and_delete=True, **kw)
-    return mini_scenario(antipacket_mode=mode, **kw)
+        return sc.with_overrides(forward_and_delete=True)
+    return sc.with_overrides(antipacket_mode=mode)
+
+
+def mode_scenario(mode, **kw):
+    """The golden runs' scenario for a mode of ``with_mode``; charged runs
+    are on the slow links."""
+    base = slow_link_scenario(**kw) if mode == "charged" else mini_scenario(**kw)
+    return with_mode(base, mode)
 
 
 class TestGoldenDigest:
@@ -812,7 +825,7 @@ class TestMessageCommunityLabel:
         assert len(set(gid_of.values())) == len(gid_of) == 2
         assert [f.name for f in fields(Message)] == [
             "msg_id", "source", "destination", "dest_community", "size_bytes",
-            "created_at", "ttl_min", "hop_count", "payload"]
+            "created_at", "payload"]
 
     def test_noprivacy_message_carries_the_interest(self):
         engine, created = created_messages(mini_scenario(router="prif-noprivacy"))
@@ -908,6 +921,23 @@ class TestLanes:
                 assert carrier.delivered_mask == 0
             assert carriers[0].buffer is not carriers[1].buffer
 
+    def test_lanes_share_one_message_per_creation(self):
+        """A creation builds one ``Message``; every lane's ledger receives
+        that same object, whatever the lane's TTL."""
+        sc = mini_scenario(router="epidemic")
+        values = LANE_VALUES["ttl"]
+        engine = ReplayEngine([apply_axis(sc, "ttl", v) for v in values],
+                              build_trace(sc))
+        created = [[] for _ in engine.lanes]
+        for lane, seen in zip(engine.lanes, created):
+            on_create = lane.ledger.on_create
+            lane.ledger.on_create = (
+                lambda m, seen=seen, on_create=on_create: (seen.append(m), on_create(m)))
+        engine.run("ttl", values)
+        assert created[0] and all(len(c) == len(created[0]) for c in created)
+        for first, *others in zip(*created):
+            assert all(m is first for m in others)
+
     @pytest.mark.parametrize("override", [
         {"seed": 6}, {"router": "epidemic"}, {"energy": EnergyParams(gamma=0.9)},
         {"charge_handshake_bytes": True}],
@@ -929,6 +959,61 @@ class TestLanes:
             ReplayEngine([sc, sc], trace, [None])
         with pytest.raises(ValueError, match="axis value"):
             ReplayEngine([sc, sc], trace).run("buffer", [3.0])
+
+
+# ---------------------------------------------------------------------------
+# whole replays against the foremost-journey oracle
+# ---------------------------------------------------------------------------
+
+JOURNEY_BASES = ("mini", "slow-link", "desk-1", "desk-2")
+JOURNEY_MODES = ("gossip", "instant", "off", "forward-and-delete", "charged")
+
+
+@functools.lru_cache(maxsize=None)
+def journey_case(base):
+    """A base scenario (the golden runs' two, or the desk preset at 12,000 s
+    on seed 1 or 2), its trace and the trace's foremost-journey times."""
+    if base.startswith("desk-"):
+        sc = desk_preset(seed=int(base[5:])).with_overrides(duration=12_000.0)
+    else:
+        sc = mini_scenario() if base == "mini" else slow_link_scenario()
+    trace = build_trace(sc)
+    return sc, trace, foremost_journeys(trace)
+
+
+def delivery_times(scenario, trace):
+    """``{msg_id: time}`` of every first delivery in a replay."""
+    events = []
+    run(scenario, trace=trace, events=events)
+    return {x: t for t, kind, _, _, x in events if kind == "deliver"}
+
+
+class TestForemostJourneys:
+    @pytest.mark.parametrize("base", JOURNEY_BASES)
+    def test_unlimited_epidemic_delivers_at_the_foremost_times(self, base):
+        """With room for every copy, time for every transfer, no TTL and no
+        delivery notices, flooding is the foremost journey itself."""
+        sc, trace, foremost = journey_case(base)
+        unlimited = sc.with_overrides(
+            router="epidemic", antipacket_mode="off", buffer_bytes=10 ** 15,
+            ttl_min=1e9, groups=tuple(replace(g, link_rate_bps=1e18)
+                                      for g in sc.groups))
+        assert foremost
+        assert delivery_times(unlimited, trace) == foremost
+
+    @pytest.mark.parametrize("router", ROUTERS)
+    @pytest.mark.parametrize("base", JOURNEY_BASES)
+    def test_no_delivery_beats_the_foremost_journey(self, base, router):
+        """Whatever the resources, a router delivers only messages a journey
+        reaches, and none before the journey's time."""
+        sc, trace, foremost = journey_case(base)
+        for mode in JOURNEY_MODES:
+            got = delivery_times(with_mode(sc, mode).with_overrides(router=router),
+                                 trace)
+            assert got, mode
+            early = {mid: (t, foremost.get(mid)) for mid, t in got.items()
+                     if mid not in foremost or t < foremost[mid]}
+            assert early == {}, mode
 
 
 class TestSweep:

@@ -61,16 +61,9 @@ _EPIDEMIC = "tests/test_baselines.py::TestEpidemic::"
 
 MUTANTS = [
     Mutant(
-        "shortest-ttl-as-max", "src/prif/routing.py",
-        "self._shortest = min((m.ttl_min for m in live), default=math.inf)",
-        "self._shortest = max((m.ttl_min for m in live), default=math.inf)",
-        _BUFFER_ORACLE,
-        "the expiry bound must use the shortest TTL held; the longest one "
-        "hides short-lived copies that have expired"),
-    Mutant(
         "oldest-created-as-max", "src/prif/routing.py",
-        "self._oldest = min((m.created_at for m in live), default=math.inf)",
-        "self._oldest = max((m.created_at for m in live), default=math.inf)",
+        "self._oldest = min((m.created_at for m, _ in self._copies.values()),",
+        "self._oldest = max((m.created_at for m, _ in self._copies.values()),",
         _BUFFER_ORACLE,
         "the expiry bound must use the oldest copy held; the newest one "
         "hides older copies that have expired"),
@@ -89,8 +82,8 @@ MUTANTS = [
         "of their events"),
     Mutant(
         "expired-at-ttl-age", "src/prif/model.py",
-        "now - m.created_at > m.ttl_min * SECONDS_PER_MINUTE",
-        "now - m.created_at >= m.ttl_min * SECONDS_PER_MINUTE",
+        "now - m.created_at > ttl_min * SECONDS_PER_MINUTE",
+        "now - m.created_at >= ttl_min * SECONDS_PER_MINUTE",
         _EXPIRY,
         "a copy exactly at its TTL age is still alive"),
     Mutant(
@@ -103,9 +96,8 @@ MUTANTS = [
                    "copies, so only speed changes"),
     Mutant(
         "no-bound-reset-after-scan", "src/prif/routing.py",
-        "        live = self._msgs.values()\n"
-        "        self._oldest = min((m.created_at for m in live), default=math.inf)\n"
-        "        self._shortest = min((m.ttl_min for m in live), default=math.inf)\n",
+        "        self._oldest = min((m.created_at for m, _ in self._copies.values()),\n"
+        "                           default=math.inf)\n",
         "",
         _ROUTING_AND_SIM,
         "resetting the bound after a scan keeps later early-outs possible",
@@ -158,6 +150,35 @@ MUTANTS = [
         "        self.delivered_mask |= other.delivered_mask\n",
         ("tests/test_routing.py::TestAntipackets::test_sets_union_both_ways",),
         "both sides of a gossip leave it knowing every delivery either knew"),
+    Mutant(
+        "relay-keeps-hops", "src/prif/sim/engine.py",
+        "hops = hops_of(m.msg_id) + 1", "hops = hops_of(m.msg_id)",
+        ("tests/test_routing.py::TestDelivery::"
+         "test_header_frames_count_hops_along_a_chain",),
+        "a transfer hands on a copy one hop further than the sender's"),
+    Mutant(
+        "contact-end-at-start", "src/prif/sim/engine.py",
+        "            now = c.end\n", "            now = c.start\n",
+        ("tests/test_sim.py::TestForemostJourneys::"
+         "test_no_delivery_beats_the_foremost_journey",),
+        "copies cross a contact at its end; at its start they would arrive "
+        "before any journey can bring them"),
+    Mutant(
+        "schedule-drops-last-candidate", "src/prif/routing.py",
+        "return self.router.schedule_order(candidates, now, peer.router)",
+        "return self.router.schedule_order(candidates[:-1], now, peer.router)",
+        ("tests/test_sim.py::TestForemostJourneys::"
+         "test_unlimited_epidemic_delivers_at_the_foremost_times",),
+        "every candidate is offered; flooding then misses foremost journeys"),
+    Mutant(
+        "prif-labels-compared-by-order", "src/prif/routing.py",
+        "        if peer_c == dest_c:\n            return RELAY_INTO_COMMUNITY",
+        "        if peer_c <= dest_c:\n            return RELAY_INTO_COMMUNITY",
+        ("tests/test_routing.py::TestDecide::"
+         "test_matches_reference_on_randomized_states",),
+        "community labels are opaque: routing compares them for equality "
+        "only (relaying more often than that stays within every journey, so "
+        "the journey oracle cannot see this one)"),
 ]
 
 
