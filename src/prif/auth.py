@@ -23,44 +23,32 @@ exactly what plain ``pow`` returns, so no transcript, outcome or random
 draw depends on them or on whether a memo is warm:
 
 * a *power chain* of a base B holds B^(16^i) for i = 0..n-1, with n radix-16
-  digits covering q (n = 64 at 2048 bits; 63 * 4 squarings to build).
-  ``chain_pow`` raises B to any exponent in [0, 16^n) with one product per
-  nonzero digit and 30 more (Yao, "On the evaluation of powers", SIAM J.
-  Comput. 1976); other exponents go to ``powmod``.  Round 2 builds one chain
-  of the peer's ephemeral B for both B^q and B^s.  Verification raises the
-  verifier base y^e * Y, fixed per peer credential, through its memoised
-  chain to the fresh ephemeral b.  At 2048 bits a chain costs about 0.7 of
-  a ``pow`` to build, 0.3 of one per use and 19 KB; a radix-4 Lim-Lee
-  table of the same base measured 1.4, 0.37 and 115 KB.  The one dispatch
-  to the builtin ``pow`` is a one-entry chain (B,), which ``chain_pow``
-  sends to ``powmod``: ``power_chain`` returns it when q has at most 4
-  bits, as in the toy group, where one builtin ``pow`` (0.1 us) is
-  cheaper than a pass over the 15 digit buckets (2 us);
+  digits covering q (n = 64 at 2048 bits).  ``chain_pow`` raises B to any
+  exponent in [0, 16^n) with one product per nonzero digit and 30 more
+  (Yao, "On the evaluation of powers", SIAM J. Comput. 1976).  At 2048 bits
+  a chain costs about 0.7 of a ``pow`` to build, 0.3 of one per use and
+  19 KB; a radix-4 Lim-Lee table of the same base measured 1.4, 0.37 and
+  115 KB.  Round 2 builds one chain of the peer's ephemeral B for both B^q
+  and B^s.  In the toy group the chain is (B,), which ``chain_pow`` sends
+  to ``powmod``: one builtin ``pow`` (0.1 us) is cheaper there than a pass
+  over the digit buckets (2 us);
 * validation order: no element is raised to a secret power before it is
   shown to lie in the order-q subgroup.  Round 2 checks revocation, then
-  the peer's Y (``in_subgroup``), then ``1 < B < p`` before building B's
-  chain, and forms the B^s product only once the B^q product equals 1; a
-  reject draws nothing but its random tag.  ``verify_confirmation`` tests
-  Y itself before anything meets b;
-* ``alpha_pow`` reads alpha^x from a radix-16 table of alpha^(j * 16^i)
-  (Lim & Lee, CRYPTO '94), built per parameter set on first use, for
-  every alpha^x: group keys, certificate commitments, alpha^b in round 1
-  and alpha^s in ``recover_commitment``; exponents outside [0, q) go to
-  ``powmod``.  Per use it costs about a quarter of a ``pow``, below a
-  chain's 0.3, which is worth 64 rows of 16 entries (about 300 KB) for
-  this one base;
-* bounded ``functools.lru_cache`` memos hold ``recover_commitment`` per
-  certificate, the subgroup test of a peer's Y, the default-digest
-  H1(id, Y) (a caller-supplied ``h1`` bypasses it), and the chain of the
-  verifier base y^e * Y keyed on e = H1(id, Y), whichever H1 computed it.
-  Each holds up to 256 entries; a 2048-bit chain is 64 integers of about
-  300 bytes, so the full chain memo holds about 5 MB;
-* a round-1 message encodes itself once, at construction
-  (``HandshakeMsg1.encoded``), and its wire prefix (tag, gid, id and Y
-  frames) is memoised per credential, so only the fresh B is framed per
-  contact;
-* ``SystemParams`` and ``Certificate`` hash their fields once, at
-  construction, since they key most of the memo lookups of a handshake.
+  the peer's Y, then ``1 < B < p`` before building B's chain, and forms
+  B^s only once B^q equals 1; a reject draws nothing but its random tag.
+  ``verify_confirmation`` tests Y before anything meets b;
+* ``alpha_pow`` reads every alpha^x from a radix-16 table of
+  alpha^(j * 16^i) (Lim & Lee, CRYPTO '94), built per parameter set on
+  first use; at a quarter of a ``pow`` per use, below a chain's 0.3, it
+  is worth its 300 KB for this one base;
+* a round-1 message encodes itself once, at construction; its commitment
+  Y and wire prefix (tag, gid, id and Y frames) are memoised per credential;
+* one bounded peer memo, ``_peer``, keyed by the parameters and the prefix
+  a peer sends, reads id and Y back out of those bytes and holds Y's
+  subgroup verdict, the default digest H1(id, Y) and the verifier base
+  y^e * Y, whose chain it builds at the base's second use.  Round 2 and
+  verification look it up once each; a caller-supplied ``h1`` bypasses it;
+* ``SystemParams`` and ``Certificate`` hash their fields once.
 
 In the toy group that every simulated contact uses, the exponentiations
 are cheap and the handshake's cost is Python overhead, which is why public
@@ -213,13 +201,14 @@ class HandshakeMsg1:
     id: str
     Y: int
     B: int
-    # wire bytes, encoded once at construction and shared by the codec and
-    # the session id
+    # wire bytes, encoded once at construction: the prefix up to B keys the
+    # peer memo, and the whole frame is both the codec's and the sid's input
+    prefix: bytes = field(init=False, repr=False, compare=False)
     encoded: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "encoded", _msg1_prefix(self.gid, self.id, self.Y)
-                           + _frame(int_to_bytes(self.B)))
+        object.__setattr__(self, "prefix", _msg1_prefix(self.gid, self.id, self.Y))
+        object.__setattr__(self, "encoded", self.prefix + _frame(int_to_bytes(self.B)))
 
 
 @dataclass(frozen=True)
@@ -326,19 +315,10 @@ def in_subgroup(x: int, params: SystemParams) -> bool:
     return 1 < x < params.p and powmod(x, params.q, params.p) == 1
 
 
-# Size of each memo on public values below.  A node holds one certificate,
-# so each needs about one entry per node that handshakes: 59 in a 1,500 s
-# desk run at crypto = 2048 (63 nodes), at most 166 in the paper scenario.
-# Larger populations stay exact, with fewer hits.  In that desk run the
-# memos hit 78% (commitment, verifier base) and 89% (subgroup test of Y)
-# of calls.  Dropping any one of them adds 11-19 ms (median) to a 33 ms
-# 2048-bit handshake (BENCH_handshake.json, "memos").  In a 45k s toy desk
-# run (seed 11) the per-credential memos miss 63 of 8,196 calls each.
+# Size of each per-credential memo (``_peer``, ``recover_commitment`` and
+# ``_msg1_prefix``): about one entry per node that handshakes, at most 166
+# in the paper scenario.  Larger populations stay exact, with fewer hits.
 _PEER_MEMO_SIZE = 256
-
-# A peer's Y is tested in round 2 and again in verification, and recurs
-# at every contact with that peer; ephemerals B are fresh each time.
-_commitment_in_subgroup = functools.lru_cache(maxsize=_PEER_MEMO_SIZE)(in_subgroup)
 
 _RADIX_BITS = 4
 _RADIX = 1 << _RADIX_BITS
@@ -346,10 +326,8 @@ _DIGIT_MASK = _RADIX - 1
 
 
 def power_chain(base: int, params: SystemParams) -> tuple[int, ...]:
-    """base^(16^i) mod p for i = 0..n-1, where 16^n > q, for ``chain_pow``.
-
-    A q of at most 4 bits, as in the toy group, gives the one-entry chain
-    (base,), which ``chain_pow`` answers with the builtin ``pow``."""
+    """base^(16^i) mod p for i = 0..n-1, where 16^n > q, for ``chain_pow``;
+    a q of at most 4 bits, as in the toy group, gives the chain (base,)."""
     p = params.p
     chain = [base]
     for _ in range(-(-params.q.bit_length() // _RADIX_BITS) - 1):
@@ -428,11 +406,6 @@ def h1_digest(params: SystemParams, member_id: str, commitment: int) -> int:
         if e != 0:
             return e
         counter += 1
-
-
-# verify_confirmation digests the peer's (id, Y) at every contact, and both
-# recur across contacts with that peer.  A caller-supplied H1 bypasses it.
-_default_h1 = functools.lru_cache(maxsize=_PEER_MEMO_SIZE)(h1_digest)
 
 
 def h2_tag(params: SystemParams, shared_key: int, sid: bytes) -> bytes:
@@ -579,6 +552,37 @@ def _session_id(own_msg1: HandshakeMsg1, peer_msg1: HandshakeMsg1,
     return first.encoded + second.encoded
 
 
+class _PeerView:
+    """What a peer's round-1 prefix tells a receiver, read from its bytes:
+    Y's subgroup verdict, e = H1(id, Y) if Y passes, and one slot for the
+    verifier base y^e * Y under the last group key y asked for, bare at its
+    first use and a power chain from its second.  ``h1`` replaces H1."""
+
+    __slots__ = ("params", "Y", "member", "e", "_y", "_base")
+
+    def __init__(self, params: SystemParams, prefix: bytes,
+                 h1: H1Fn | None = None) -> None:
+        _, member_id, self.Y, _ = _read_msg1_prefix(prefix)
+        self.params, self.member = params, in_subgroup(self.Y, params)
+        digest = h1 or functools.partial(h1_digest, params)
+        self.e = digest(member_id, self.Y) if self.member else None
+        self._y = self._base = None
+
+    def verifier_pow(self, y: int, b: int) -> int:
+        """(y^e * Y)^b mod p."""
+        p = self.params.p
+        if y != self._y:
+            self._y, self._base = y, powmod(y, self.e, p) * self.Y % p
+            return powmod(self._base, b, p)
+        if type(self._base) is int:
+            self._base = power_chain(self._base, self.params)
+        return chain_pow(self._base, b, p)
+
+
+# A peer's prefix recurs at every contact with it; B is fresh each time.
+_peer = functools.lru_cache(maxsize=_PEER_MEMO_SIZE)(_PeerView)
+
+
 def _round2_key(peer_msg1: HandshakeMsg1, s: int, rl: RevocationList,
                 params: SystemParams) -> int | None:
     """The shared key B^s mod p, or None if the peer is revoked or its Y or
@@ -589,20 +593,13 @@ def _round2_key(peer_msg1: HandshakeMsg1, s: int, rl: RevocationList,
     """
     p, B = params.p, peer_msg1.B
     if (rl.is_revoked(peer_msg1.id)
-            or not _commitment_in_subgroup(peer_msg1.Y, params)
+            or not _peer(params, peer_msg1.prefix).member
             or not 1 < B < p):
         return None
     chain = power_chain(B, params)
     if chain_pow(chain, params.q, p) != 1:
         return None
     return chain_pow(chain, s, p)
-
-
-@functools.lru_cache(maxsize=_PEER_MEMO_SIZE)
-def _verifier_base(params: SystemParams, y: int, e: int,
-                   commitment: int) -> tuple[int, ...]:
-    """The power chain of y^e * Y mod p, where e = H1(id, Y)."""
-    return power_chain(powmod(y, e, params.p) * commitment % params.p, params)
 
 
 def handshake_round2(own_cert: Certificate, own_msg1: HandshakeMsg1,
@@ -637,12 +634,11 @@ def verify_confirmation(own_b: int, own_msg1: HandshakeMsg1,
     sid = _session_id(own_msg1, peer_msg1, own_is_initiator)
     if sid != peer_msg2.sid:
         return False
-    Y = peer_msg1.Y
-    if not _commitment_in_subgroup(Y, params):
+    peer = (_peer(params, peer_msg1.prefix) if h1 is None
+            else _PeerView(params, peer_msg1.prefix, h1))
+    if not peer.member:
         return False
-    e = (_default_h1(params, peer_msg1.id, Y) if h1 is None
-         else h1(peer_msg1.id, Y))
-    shared = chain_pow(_verifier_base(params, peer_group_y, e, Y), own_b, params.p)
+    shared = peer.verifier_pow(peer_group_y, own_b)
     return h2_tag(params, shared, sid) == peer_msg2.h
 
 
@@ -705,17 +701,21 @@ def encode_msg1(msg: HandshakeMsg1) -> bytes:
     return msg.encoded
 
 
-def decode_msg1(buf: bytes) -> HandshakeMsg1:
+def _read_msg1_prefix(buf: bytes) -> tuple[str, str, int, int]:
+    """gid, id and Y of a round-1 frame, and the offset just past Y."""
     if not buf.startswith(MSG1_TAG):
         raise ValueError("bad round-1 tag byte")
-    off = 1
-    gid, off = _read_frame(buf, off)
+    gid, off = _read_frame(buf, 1)
     mid, off = _read_frame(buf, off)
-    y, off = _read_int_frame(buf, off)
+    return (gid.decode(), mid.decode(), *_read_int_frame(buf, off))
+
+
+def decode_msg1(buf: bytes) -> HandshakeMsg1:
+    gid, mid, y, off = _read_msg1_prefix(buf)
     b, off = _read_int_frame(buf, off)
     if off != len(buf):
         raise ValueError("trailing bytes after round-1 message")
-    return HandshakeMsg1(gid=gid.decode(), id=mid.decode(), Y=y, B=b)
+    return HandshakeMsg1(gid=gid, id=mid, Y=y, B=b)
 
 
 def encode_msg2(msg: HandshakeMsg2, kappa: int = 256) -> bytes:

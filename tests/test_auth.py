@@ -607,14 +607,18 @@ class TestPowerChain:
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
     def test_verifier_base_chain_matches_pow(self, params, data):
+        """The peer view's first use (bare base), second (chain built) and
+        later ones (chain read) all equal plain ``pow``."""
         group, c1, c2, rng = honest_pair(params, 17)
         msg, _ = auth.handshake_round1(c2, "G", params, rng)
-        b = data.draw(st.integers(1, params.q - 1), label="b")
+        view = auth._PeerView(params, msg.prefix)
         e = auth.h1_digest(params, msg.id, msg.Y)
-        chain = auth._verifier_base(params, group.y, e, msg.Y)
+        assert view.member and view.e == e and view.Y == msg.Y
         base = pow(group.y, e, params.p) * msg.Y % params.p
-        assert chain[0] == base
-        assert auth.chain_pow(chain, b, params.p) == pow(base, b, params.p)
+        for _ in range(3):
+            b = data.draw(st.integers(1, params.q - 1), label="b")
+            assert view.verifier_pow(group.y, b) == pow(base, b, params.p)
+        assert view._base == auth.power_chain(base, params)
 
 
 class TestRound2Order:
@@ -670,11 +674,12 @@ class TestMemosAreInvisible:
 
     def test_cold_and_warm_runs_agree(self):
         for params in (TOY, BIG):
-            assert clear_auth_memos() >= 6
-            assert auth._default_h1.cache_info().currsize == 0
+            # the alpha table, the own commitment and prefix, and the peer memo
+            assert clear_auth_memos() == 4
+            assert auth._peer.cache_info().currsize == 0
             assert auth._msg1_prefix.cache_info().currsize == 0
             cold = [transcript_key(t) for t in fixed_world_transcripts(params, 7)]
-            assert auth._default_h1.cache_info().currsize > 0
+            assert auth._peer.cache_info().currsize > 0
             assert auth._msg1_prefix.cache_info().currsize > 0
             warm = [transcript_key(t) for t in fixed_world_transcripts(params, 7)]
             assert cold == warm
@@ -723,11 +728,11 @@ class TestMemosAreInvisible:
         clear_auth_memos()
         assert auth.verify_confirmation(b1, m1, m2, True, group.y, tag, params,
                                         h1=lambda mid, c: e)
-        info = auth._default_h1.cache_info()
+        info = auth._peer.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
         assert auth.verify_confirmation(b1, m1, m2, True, group.y, tag, params)
-        assert auth._default_h1.cache_info().misses == 1
-        assert auth._default_h1(params, m2.id, m2.Y) == e
+        assert auth._peer.cache_info().misses == 1
+        assert auth._peer(params, m2.prefix).e == e
 
     @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
     def test_cached_hashes_match_fresh_instances(self, params):
@@ -776,9 +781,9 @@ class TestMemosAreInvisible:
 
     @pytest.mark.parametrize("params", [TOY, BIG], ids=["toy", "2048"])
     def test_verifier_base_memo_follows_the_digest(self, params):
-        """A warm default-H1 entry for (id, Y) is not reused when a custom
-        H1 gives another digest, and a custom H1 equal to the default
-        accepts."""
+        """A warm peer view for (id, Y) is not reused when a custom H1 gives
+        another digest, and a custom H1 equal to the default accepts; the
+        default digest then finds its view warm."""
         group, c1, c2, rng = honest_pair(params, 13)
         rl = RevocationList()
         m1, b1 = auth.handshake_round1(c1, "G", params, rng)
@@ -794,5 +799,32 @@ class TestMemosAreInvisible:
         assert verify()
         assert not verify(h1=lambda mid, c: e % (params.q - 1) + 1)
         assert verify(h1=lambda mid, c: e)
-        info = auth._verifier_base.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+        assert verify()
+        info = auth._peer.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_peer_memo_chains_a_base_at_its_second_use_and_stays_bounded(self):
+        """A verifier base used once keeps no chain, so once-used credentials
+        (criterion 2's forgeries) cost no 19 KB chain each; the second use
+        builds it, a new group key starts the slot over, and the memo keeps
+        at most ``_PEER_MEMO_SIZE`` views.  A handshake looks it up 4 times."""
+        group, c1, c2, rng = honest_pair(BIG, 19)
+        clear_auth_memos()
+        out = auth.run_mutual_handshake(c1, "G", c2, "G", RevocationList(),
+                                        {"G": group.y}, BIG, rng)
+        info = auth._peer.cache_info()
+        assert out["mutual"] and (info.misses, info.hits) == (2, 2)
+        m2 = out["msg1"][1]
+        view = auth._peer(BIG, m2.prefix)
+        base = pow(group.y, view.e, BIG.p) * m2.Y % BIG.p
+        assert view._base == base
+        assert view.verifier_pow(group.y, 5) == pow(base, 5, BIG.p)
+        assert view._base == auth.power_chain(base, BIG)
+        other_y = pow(group.y, 2, BIG.p)
+        assert view.verifier_pow(other_y, 5) == pow(
+            pow(other_y, view.e, BIG.p) * m2.Y % BIG.p, 5, BIG.p)
+        assert type(view._base) is int
+        for i in range(auth._PEER_MEMO_SIZE + 10):
+            auth._peer(TOY, HandshakeMsg1("G", f"m{i}", 4, 2).prefix)
+        info = auth._peer.cache_info()
+        assert info.maxsize == info.currsize == auth._PEER_MEMO_SIZE

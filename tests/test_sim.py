@@ -1016,6 +1016,28 @@ class TestForemostJourneys:
             assert early == {}, mode
 
 
+class TestInterestRelabelling:
+    """A metamorphic relation (Chen, Cheung and Yiu, HKUST-CS98-01, 1998):
+    routers read communities only through equality, so renaming them
+    changes what goes on the wire and nothing else."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_permuted_labels_change_only_frame_bytes(self, seed):
+        sc, trace, _ = journey_case(f"desk-{seed}")
+        relabelled = replace(trace, interests=np.array([2, 0, 1])[trace.interests])
+        assert not np.array_equal(relabelled.interests, trace.interests)
+        for router in ROUTERS:
+            scenario = sc.with_overrides(router=router)
+            runs = []
+            for tr in (trace, relabelled):
+                events = []
+                report = run(scenario, trace=tr, events=events)
+                runs.append((report.to_dict(),
+                             [e if e[1] != "frame" else (*e[:4], len(e[4]))
+                              for e in events]))
+            assert runs[0] == runs[1], router
+
+
 class TestSweep:
     def test_single_value_single_report(self):
         reports = run_sweep(mini_scenario(), ["prif"], "buffer", [3.0], [5])

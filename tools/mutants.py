@@ -58,6 +58,7 @@ _ROUTING_AND_SIM = ("tests/test_routing.py", "tests/test_sim.py")
 _RAGGED_ROUNDS = ("tests/test_sim.py::TestBuildOracles::"
                   "test_ragged_rounds_and_horizon_on_a_leg_end",)
 _EPIDEMIC = "tests/test_baselines.py::TestEpidemic::"
+_AUTH = "tests/test_auth.py::"
 
 MUTANTS = [
     Mutant(
@@ -179,6 +180,41 @@ MUTANTS = [
         "community labels are opaque: routing compares them for equality "
         "only (relaying more often than that stays within every journey, so "
         "the journey oracle cannot see this one)"),
+    Mutant(
+        "secret-meets-b-before-its-q-check", "src/prif/auth.py",
+        "    if chain_pow(chain, params.q, p) != 1:\n"
+        "        return None\n"
+        "    return chain_pow(chain, s, p)\n",
+        "    shared = chain_pow(chain, s, p)\n"
+        "    if chain_pow(chain, params.q, p) != 1:\n"
+        "        return None\n"
+        "    return shared\n",
+        (_AUTH + "TestRound2Order::test_honest_peer_checks_q_before_s",),
+        "round 2 raises B to the secret s only once B^q equals 1"),
+    Mutant(
+        "no-ephemeral-range-check", "src/prif/auth.py",
+        "\n            or not 1 < B < p):", "):",
+        (_AUTH + "TestSubgroupChecks::"
+         "test_round2_rejects_non_member_with_random_tag",),
+        "B = 1 passes the B^q test, and only the range check turns it down"),
+    Mutant(
+        "chain-digit-masked-to-three-bits", "src/prif/auth.py",
+        "buckets[digit] = buckets[digit] * entry % p",
+        "buckets[digit & 7] = buckets[digit & 7] * entry % p",
+        (_AUTH + "TestPowerChain::test_exponents_below_16_to_the_n_skip_powmod",),
+        "each radix-16 digit selects its own bucket, 1 to 15"),
+    Mutant(
+        "verify-ignores-the-subgroup-verdict", "src/prif/auth.py",
+        "    if not peer.member:\n        return False\n", "",
+        (_AUTH + "TestSubgroupChecks::test_verify_rejects_y_outside_subgroup",),
+        "verification turns down a peer Y outside the order-q subgroup "
+        "before anything meets b"),
+    Mutant(
+        "verifier-chain-on-first-use", "src/prif/auth.py",
+        "            return powmod(self._base, b, p)\n", "",
+        (_AUTH + "TestMemosAreInvisible::"
+         "test_peer_memo_chains_a_base_at_its_second_use_and_stays_bounded",),
+        "a verifier base used once keeps no 19 KB chain"),
 ]
 
 
