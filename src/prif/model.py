@@ -26,7 +26,7 @@ class Message:
     is the destination router's community label: its opaque group id under
     ``prif``, so the interest never travels, and its plain interest number
     under ``prif-noprivacy``; epidemic and PRoPHET ignore it.  A buffered
-    copy is the message plus its hop count (see ``routing.Buffer``).
+    copy is the message plus its hop count (see ``routing.Carrier``).
     """
 
     msg_id: int

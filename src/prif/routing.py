@@ -1,4 +1,4 @@
-"""The interest-community router: decisions, scheduling, buffers, sealing.
+"""The interest-community router and the carriers that hold its copies.
 
 A carrier meeting a peer classifies every buffered message by community:
 
@@ -19,6 +19,9 @@ Transmission order puts destination-community messages first (strong inter
 energy first, newer first on ties); eviction discards in exactly the reverse
 order.  Delivery notices ("anti-packets") are gossiped on authenticated
 contacts so delivered copies drain out of buffers.
+
+Routers are policy: decisions, transmission and eviction order.  A
+``Carrier`` per node and lane holds the copies and delivery knowledge.
 """
 
 from __future__ import annotations
@@ -136,88 +139,7 @@ def encode_message_header(m: Message, ttl_min: float, hops: int,
 
 
 # ---------------------------------------------------------------------------
-# buffer
-# ---------------------------------------------------------------------------
-
-class Buffer:
-    """Capacity-bounded store of copies under one TTL, in insertion order.
-
-    A copy is a shared ``Message`` and the hops it has travelled, kept as
-    ``msg_id -> (message, hops)``; every copy lives ``ttl_min`` minutes, its
-    scenario's.  Every query scans the copies: no preset buffer holds more
-    than a few dozen.  One float keeps the expiry scan off the common path:
-    ``_oldest`` is at most every buffered ``created_at``.  ``add`` lowers
-    it, each expiry scan resets it from the survivors, and a removal leaves
-    it low, which costs at most a needless scan.  Float subtraction is
-    monotone, so when ``maybe_expired`` is False no copy is expired under
-    ``message_is_expired``.
-    """
-
-    def __init__(self, capacity_bytes: int, ttl_min: float) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError("buffer capacity must be positive")
-        if not 0.0 < ttl_min < math.inf:
-            raise ValueError("buffer ttl must be positive and finite")
-        self.capacity_bytes = capacity_bytes
-        self.ttl_min = ttl_min
-        self._copies: dict[int, tuple[Message, int]] = {}
-        self._used = 0
-        self._oldest = math.inf
-
-    def __contains__(self, msg_id: int) -> bool:
-        return msg_id in self._copies
-
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
-    def messages(self) -> list[Message]:
-        return [m for m, _ in self._copies.values()]
-
-    def hops(self, msg_id: int) -> int:
-        """The hops the buffered copy of ``msg_id`` has travelled."""
-        return self._copies[msg_id][1]
-
-    def add(self, m: Message, hops: int) -> None:
-        mid = m.msg_id
-        if mid in self._copies:
-            raise ValueError(f"message {mid} already buffered")
-        if self._used + m.size_bytes > self.capacity_bytes:
-            raise ValueError("buffer overflow; evict before adding")
-        self._copies[mid] = (m, hops)
-        self._used += m.size_bytes
-        if m.created_at < self._oldest:
-            self._oldest = m.created_at
-
-    def remove(self, msg_id: int) -> Message:
-        m = self._copies.pop(msg_id)[0]
-        self._used -= m.size_bytes
-        return m
-
-    def maybe_expired(self, now: SimTime) -> bool:
-        """False only if no buffered copy has expired at ``now``."""
-        return now - self._oldest > self.ttl_min * SECONDS_PER_MINUTE
-
-    def pop_expired(self, now: SimTime) -> list[Message]:
-        """Remove and return every expired copy, in insertion order."""
-        if not self.maybe_expired(now):
-            return []
-        ttl_min = self.ttl_min
-        dead = [m for m in self.messages() if message_is_expired(m, ttl_min, now)]
-        for m in dead:
-            self.remove(m.msg_id)
-        self._oldest = min((m.created_at for m, _ in self._copies.values()),
-                           default=math.inf)
-        return dead
-
-    def pop_oldest(self) -> Message:
-        """Remove and return the copy first by ``(created_at, msg_id)``."""
-        oldest = min(self.messages(), key=attrgetter("created_at", "msg_id"))
-        return self.remove(oldest.msg_id)
-
-
-# ---------------------------------------------------------------------------
-# router
+# routers and carriers
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -236,9 +158,10 @@ class Router:
     its contact setup ``begin_contact(other, now, rng) -> (usable, frames
     sent by self, frames sent by other)``, its forwarding decision
     ``decide(peer, m, now)`` and its transmission order
-    ``_schedule_key(m, peer, now)``; the default ``evict_for`` drops the
+    ``_schedule_key(m, peer, now)``; the default ``eviction_order`` puts the
     oldest copy first.  The setup frames are what the link budget is charged.
-    A router holds no messages: its ``Carrier`` in each lane does.
+    A router only orders and decides: its ``Carrier`` in each lane holds
+    the copies.
     """
 
     gossips_antipackets = False
@@ -265,61 +188,119 @@ class Router:
                        peer: Optional["Router"] = None) -> list[Message]:
         return sorted(msgs, key=lambda m: self._schedule_key(m, peer, now))
 
-    def evict_for(self, buf: Buffer, size_bytes: int, now: SimTime) -> list[Message]:
-        """Evict from ``buf`` until ``size_bytes`` more fit: oldest first, by
-        ``(created_at, msg_id)``."""
-        evicted = []
-        while buf.used_bytes + size_bytes > buf.capacity_bytes:
-            evicted.append(buf.pop_oldest())
-        return evicted
+    def eviction_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
+        """Oldest first, by ``(created_at, msg_id)``."""
+        return sorted(msgs, key=attrgetter("created_at", "msg_id"))
 
 
 class Carrier:
-    """One node's message layer: its buffer and delivery knowledge, with
-    the schedule order and eviction of its ``router``.
+    """One node's message layer in one lane: its copies under one TTL and
+    its delivery knowledge, ordered and evicted by its ``router``.
 
     A replay has one carrier per node and lane (see ``sim.engine``), all of
-    a node's carriers over its one router.  Delivery knowledge is one int,
-    ``delivered_mask``, with bit ``msg_id`` set for every id known delivered
-    (message ids are dense from 0); gossip is then one ``|``.
-    ``knows_delivered`` is the membership test.
+    a node's carriers over its one router.  A copy is a shared ``Message``
+    and the hops it has travelled, kept in insertion order as ``msg_id ->
+    (message, hops)``.  Every query scans the copies: no preset buffer
+    holds more than a few dozen.  One float keeps the expiry scan off the
+    common path: ``_oldest`` is at most every held ``created_at``.  ``add``
+    lowers it, each expiry scan resets it from the survivors, and a removal
+    leaves it low, which costs at most a needless scan.  Float subtraction
+    is monotone, so when ``maybe_expired`` is False no copy is expired
+    under ``message_is_expired``.
+
+    Delivery knowledge is one int, ``delivered_mask``, with bit ``msg_id``
+    set for every id known delivered (message ids are dense from 0); gossip
+    is then one ``|``.  ``knows_delivered`` is the membership test.
     """
 
     def __init__(self, router: Router, capacity_bytes: int, ttl_min: float) -> None:
+        if capacity_bytes <= 0:
+            raise ValueError("buffer capacity must be positive")
+        if not 0.0 < ttl_min < math.inf:
+            raise ValueError("buffer ttl must be positive and finite")
         self.router = router
         self.node = router.node
-        self.buffer = Buffer(capacity_bytes, ttl_min)
+        self.capacity_bytes = capacity_bytes
+        self.ttl_min = ttl_min
+        self._copies: dict[int, tuple[Message, int]] = {}
+        self.used_bytes = 0
+        self._oldest = math.inf
         self.delivered_mask = 0
+
+    def __contains__(self, msg_id: int) -> bool:
+        return msg_id in self._copies
+
+    def messages(self) -> list[Message]:
+        return [m for m, _ in self._copies.values()]
+
+    def hops(self, msg_id: int) -> int:
+        """The hops the held copy of ``msg_id`` has travelled."""
+        return self._copies[msg_id][1]
+
+    def add(self, m: Message, hops: int) -> None:
+        mid = m.msg_id
+        if mid in self._copies:
+            raise ValueError(f"message {mid} already buffered")
+        if self.used_bytes + m.size_bytes > self.capacity_bytes:
+            raise ValueError("buffer overflow; evict before adding")
+        self._copies[mid] = (m, hops)
+        self.used_bytes += m.size_bytes
+        if m.created_at < self._oldest:
+            self._oldest = m.created_at
+
+    def remove(self, msg_id: int) -> Message:
+        m = self._copies.pop(msg_id)[0]
+        self.used_bytes -= m.size_bytes
+        return m
+
+    def maybe_expired(self, now: SimTime) -> bool:
+        """False only if no held copy has expired at ``now``."""
+        return now - self._oldest > self.ttl_min * SECONDS_PER_MINUTE
+
+    def pop_expired(self, now: SimTime) -> list[Message]:
+        """Remove and return every expired copy, in insertion order."""
+        if not self.maybe_expired(now):
+            return []
+        ttl_min = self.ttl_min
+        dead = [m for m in self.messages() if message_is_expired(m, ttl_min, now)]
+        for m in dead:
+            self.remove(m.msg_id)
+        self._oldest = min((m.created_at for m, _ in self._copies.values()),
+                           default=math.inf)
+        return dead
+
+    # -- contacts -------------------------------------------------------------
 
     def schedule_messages(self, peer: "Carrier", now: SimTime) -> list[Message]:
         """Outbound plan for one contact: drop dead copies, skip what the
         peer already has or either side knows delivered, order the rest."""
-        buf = self.buffer
-        msgs = buf.messages()
-        if buf.maybe_expired(now):
-            msgs = [m for m in msgs if not message_is_expired(m, buf.ttl_min, now)]
-        held = peer.buffer
+        msgs = self.messages()
+        if self.maybe_expired(now):
+            msgs = [m for m in msgs if not message_is_expired(m, self.ttl_min, now)]
         known = self.delivered_mask | peer.delivered_mask
         candidates = [m for m in msgs
-                      if m.msg_id not in held and not known >> m.msg_id & 1]
+                      if m.msg_id not in peer and not known >> m.msg_id & 1]
         return self.router.schedule_order(candidates, now, peer.router)
 
     def admit(self, m: Message, hops: int,
               now: SimTime) -> tuple[bool, list[Message], list[Message]]:
-        """Admit a copy ``hops`` hops from its source, evicting in eviction
-        order if needed.
+        """Admit a copy ``hops`` hops from its source, evicting in the
+        router's ``eviction_order`` until it fits.
 
         Returns (admitted, evicted, expired-purged).  A message larger than
         the whole buffer is rejected outright.
         """
-        buf = self.buffer
-        purged = buf.pop_expired(now)
-        if m.size_bytes > buf.capacity_bytes:
+        purged = self.pop_expired(now)
+        room = self.capacity_bytes - m.size_bytes
+        if room < 0:
             return False, [], purged
         evicted: list[Message] = []
-        if buf.used_bytes + m.size_bytes > buf.capacity_bytes:
-            evicted = self.router.evict_for(buf, m.size_bytes, now)
-        buf.add(m, hops)
+        if self.used_bytes > room:
+            for victim in self.router.eviction_order(self.messages(), now):
+                evicted.append(self.remove(victim.msg_id))
+                if self.used_bytes <= room:
+                    break
+        self.add(m, hops)
         return True, evicted, purged
 
     # -- delivery and anti-packets ---------------------------------------------------
@@ -343,14 +324,13 @@ class Carrier:
         """Record a delivery notice; returns the own copy it condemns, if any.
         A negative id raises ``ValueError``."""
         self.delivered_mask |= 1 << msg_id
-        return self.buffer.remove(msg_id) if msg_id in self.buffer else None
+        return self.remove(msg_id) if msg_id in self._copies else None
 
     def _drop_known_delivered(self) -> list[Message]:
-        """Remove the buffered copies known delivered, in ascending id order."""
+        """Remove the held copies known delivered, in ascending id order."""
         known = self.delivered_mask
-        buf = self.buffer
-        return [buf.remove(mid) for mid in
-                sorted(m.msg_id for m in buf.messages() if known >> m.msg_id & 1)]
+        return [self.remove(mid) for mid in
+                sorted(m.msg_id for m in self.messages() if known >> m.msg_id & 1)]
 
     def exchange_antipackets(self, other: "Carrier") -> tuple[list[Message], list[Message]]:
         """Union the delivery knowledge and drop any copies it condemns."""
@@ -451,13 +431,7 @@ class PrifRouter(Router):
         return (1, -self.energy.effective_intra(m.dest_community, now),
                 -m.created_at, m.msg_id)
 
-    def evict_for(self, buf: Buffer, size_bytes: int, now: SimTime) -> list[Message]:
-        """Evict from ``buf`` in the schedule order reversed until
-        ``size_bytes`` more fit; every key ends in the unique msg_id, so no
-        two keys tie and the reversal is exact."""
-        evicted = []
-        for victim in reversed(self.schedule_order(buf.messages(), now)):
-            if buf.used_bytes + size_bytes <= buf.capacity_bytes:
-                break
-            evicted.append(buf.remove(victim.msg_id))
-        return evicted
+    def eviction_order(self, msgs: Iterable[Message], now: SimTime) -> list[Message]:
+        """The schedule order reversed; every key ends in the unique msg_id,
+        so no two keys tie and the reversal is exact."""
+        return self.schedule_order(msgs, now)[::-1]

@@ -16,7 +16,7 @@ apart from messages never reads message state: the setup and its
 ``crypto_rng`` draws, the sessions it opens and the energy or predictability
 updates.  That is the *contact layer*, kept once: the engine's ``routers``,
 ``crypto_rng`` and ``active`` contacts.  Each lane is a message layer: one
-``Carrier`` per node over that node's router, holding the lane's buffer and
+``Carrier`` per node over that node's router, holding the lane's copies and
 delivery knowledge, plus the lane's ledger and event list.  Within a step the
 order is a one-lane replay's: a contact start runs the setup once and gives
 every lane the same outcome and frames; a contact end runs each lane's
@@ -80,26 +80,22 @@ class Lane:
         if self.events is not None:
             self.events.append((t, kind, a, b, x))
 
-    def _gone(self, now: float, node: int, copy: Message, kind: str) -> None:
-        self.ledger.on_copy_gone(copy, kind)
-        self._emit(now, kind, node, None, copy.msg_id)
+    def _gone(self, now: float, node: int, copies: list[Message], kind: str) -> None:
+        for copy in copies:
+            self.ledger.on_copy_gone(copy, kind)
+            self._emit(now, kind, node, None, copy.msg_id)
 
-    def _account_buffer_fallout(self, now: float, node: int,
-                                evicted: list[Message], purged: list[Message]) -> None:
-        for v in purged:
-            self._gone(now, node, v, "expire")
-        for v in evicted:
-            self._gone(now, node, v, "evict")
+    def _admit(self, carrier: Carrier, m: Message, hops: int, now: float) -> bool:
+        admitted, evicted, purged = carrier.admit(m, hops, now)
+        self._gone(now, carrier.node, purged, "expire")
+        self._gone(now, carrier.node, evicted, "evict")
+        return admitted
 
     def create(self, m: Message) -> None:
         t, source = m.created_at, m.source
         self.ledger.on_create(m)
         self._emit(t, "create", source, m.destination, m.msg_id)
-        admitted, evicted, purged = self.carriers[source].admit(m, 0, t)
-        self._account_buffer_fallout(t, source, evicted, purged)
-        if admitted:
-            self.ledger.on_admit(m)
-        else:
+        if not self._admit(self.carriers[source], m, 0, t):
             self.ledger.on_reject(m)
             self._emit(t, "reject", source, None, m.msg_id)
 
@@ -111,9 +107,8 @@ class Lane:
             now = c.end
             if self.scenario.antipacket_mode == "gossip" and ca.router.gossips_antipackets:
                 dropped_a, dropped_b = ca.exchange_antipackets(cb)
-                for node, dropped in ((c.a, dropped_a), (c.b, dropped_b)):
-                    for v in dropped:
-                        self._gone(now, node, v, "anti")
+                self._gone(now, c.a, dropped_a, "anti")
+                self._gone(now, c.b, dropped_b, "anti")
             self._transfer(ca, cb, budget_ab, now)
             self._transfer(cb, ca, budget_ba, now)
 
@@ -121,7 +116,7 @@ class Lane:
         if budget <= 0:
             return
         events, ttl_min = self.events, self.scenario.ttl_min
-        router, peer_router, hops_of = carrier.router, peer.router, carrier.buffer.hops
+        router, peer_router, hops_of = carrier.router, peer.router, carrier.hops
         for m in carrier.schedule_messages(peer, now):
             decision = router.decide(peer_router, m, now)
             if events is not None:
@@ -147,32 +142,29 @@ class Lane:
                            carrier.node, peer.node, m.msg_id)
                 own = carrier.mark_delivered(m.msg_id)
                 if own is not None:
-                    self._gone(now, carrier.node, own, "handoff")
+                    self._gone(now, carrier.node, [own], "handoff")
                 if first and self.scenario.antipacket_mode == "instant":
                     self._instant_discard(m.msg_id, now)
-            else:
-                admitted, evicted, purged = peer.admit(m, hops, now)
-                self._account_buffer_fallout(now, peer.node, evicted, purged)
-                if admitted:
-                    self._emit(now, "relay", carrier.node, peer.node, m.msg_id)
-                    if self.scenario.forward_and_delete:
-                        carrier.buffer.remove(m.msg_id)
-                    else:
-                        self.ledger.on_admit(m)
+            elif self._admit(peer, m, hops, now):
+                self._emit(now, "relay", carrier.node, peer.node, m.msg_id)
+                if self.scenario.forward_and_delete:
+                    carrier.remove(m.msg_id)
 
     def _instant_discard(self, msg_id: int, now: float) -> None:
         for node, carrier in self.carriers.items():
             v = carrier.mark_delivered(msg_id)
             if v is not None:
-                self._gone(now, node, v, "anti")
+                self._gone(now, node, [v], "anti")
 
     def finish(self, end: float, axis: str, axis_value: float) -> MetricsReport:
-        """Expire what is left at the end of the run; the lane's report."""
+        """Expire what is left at the end of the run, then report, with
+        the ids still held deciding ``buffered_at_end``."""
         for node, carrier in self.carriers.items():
-            for v in carrier.buffer.pop_expired(end):
-                self._gone(end, node, v, "expire")
-        return self.ledger.finalize(self.scenario.router, self.scenario.seed,
-                                    axis, axis_value)
+            self._gone(end, node, carrier.pop_expired(end), "expire")
+        held = {m.msg_id for carrier in self.carriers.values()
+                for m in carrier.messages()}
+        return self.ledger.finalize(held, self.scenario.router,
+                                    self.scenario.seed, axis, axis_value)
 
 
 # What lanes of one replay may differ in; everything else is contact layer.

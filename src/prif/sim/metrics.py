@@ -73,7 +73,6 @@ class MetricsLedger:
         self.duplicates = 0
         self.relays = 0
         self.rejected_ids: set[int] = set()
-        self.copies: dict[int, int] = {}
         self.last_death: dict[int, str] = {}
         self.drop_events = 0
         self.expiry_events = 0
@@ -83,19 +82,14 @@ class MetricsLedger:
 
     def on_create(self, m: Message) -> None:
         self.created_ids.append(m.msg_id)
-        self.copies.setdefault(m.msg_id, 0)
 
     def on_reject(self, m: Message) -> None:
         self.rejected_ids.add(m.msg_id)
-
-    def on_admit(self, m: Message) -> None:
-        self.copies[m.msg_id] = self.copies.get(m.msg_id, 0) + 1
 
     def on_relay(self) -> None:
         self.relays += 1
 
     def on_copy_gone(self, m: Message, cause: str) -> None:
-        self.copies[m.msg_id] = self.copies.get(m.msg_id, 0) - 1
         self.last_death[m.msg_id] = cause
         if cause == "evict":
             self.drop_events += 1
@@ -114,8 +108,9 @@ class MetricsLedger:
 
     # -- report ------------------------------------------------------------------
 
-    def finalize(self, router: str, seed: int, axis: str = "none",
-                 axis_value: float = 0.0) -> MetricsReport:
+    def finalize(self, held: set[int], router: str, seed: int,
+                 axis: str = "none", axis_value: float = 0.0) -> MetricsReport:
+        """The report; ``held`` is the ids some buffer still holds."""
         created = len(self.created_ids)
         delivered = len(self.delivered_hops)
         buffered = dropped = expired = rejected = 0
@@ -124,7 +119,7 @@ class MetricsLedger:
                 continue
             if mid in self.rejected_ids:
                 rejected += 1
-            elif self.copies.get(mid, 0) > 0:
+            elif mid in held:
                 buffered += 1
             elif self.last_death.get(mid) == "expire":
                 expired += 1

@@ -235,6 +235,8 @@ _SCENARIO_KEYS = {
                                            "charge_handshake_bytes")},
 }
 _ENERGY_KEYS = ("alpha", "beta", "gamma", "window")
+_GROUP_REQUIRED = ("count", "speed", "radio", "link_rate")
+_GROUP_KEYS = {*_GROUP_REQUIRED, "pause", "generates"}
 
 
 def scenario_from_ini(path: str | Path) -> Scenario:
@@ -260,9 +262,16 @@ def scenario_from_ini(path: str | Path) -> Scenario:
 
     groups = []
     for section in cp.sections():
-        if not section.startswith("group:"):
+        if section == "scenario":
             continue
+        if not section.startswith("group:"):
+            raise ValueError(f"{path}: unknown section [{section}]; valid: "
+                             "[scenario], [group:<name>]")
         g = cp[section]
+        for bad, keys in (("unknown", sorted(set(g) - _GROUP_KEYS)),
+                          ("missing", [k for k in _GROUP_REQUIRED if k not in g])):
+            if keys:
+                raise ValueError(f"{path}: [{section}]: {bad} keys: {keys}")
         groups.append(GroupSpec(
             name=section.split(":", 1)[1],
             count=g.getint("count"),

@@ -216,8 +216,8 @@ def reference_positions(legs, ticks):
 class SetBufferNode:
     """A router's buffer and delivery knowledge kept the plain way: an
     insertion-ordered dict scanned for expiry, a full sort for oldest-first
-    eviction, and a set of delivered ids.  Reference for ``Buffer`` and the
-    ``Carrier`` admission, schedule filter and anti-packet methods."""
+    eviction, and a set of delivered ids.  Reference for ``Carrier``: its
+    copies, admission, schedule filter and anti-packet methods."""
 
     def __init__(self, node, capacity_bytes, ttl_min):
         self.node = node

@@ -262,12 +262,12 @@ class TestCriterion4:
                     size_bytes=rng.randint(1, capacity + 50),
                     created_at=float(rng.randint(0, 900)), payload=b"x")
                 carrier.admit(m, 0, now)
-                if carrier.buffer.used_bytes > carrier.buffer.capacity_bytes:
+                if carrier.used_bytes > carrier.capacity_bytes:
                     violations += 1
             # eviction is the schedule reversed, exactly so while no two
             # buffered copies share a schedule key
             keys = [carrier.router._schedule_key(m, None, now)
-                    for m in carrier.buffer.messages()]
+                    for m in carrier.messages()]
             if len(set(keys)) != len(keys):
                 violations += 1
         report_line(4, violations == 0,

@@ -64,7 +64,7 @@ class TestEpidemic:
         a.admit(m, 0, NOW)
         b.mark_delivered(m.msg_id)
         assert a.schedule_messages(b, NOW) == []
-        assert not a.knows_delivered(m.msg_id) and m.msg_id in a.buffer
+        assert not a.knows_delivered(m.msg_id) and m.msg_id in a
 
     def test_drop_oldest_eviction(self):
         a = Carrier(EpidemicRouter(0, 0), 300, 600.0)

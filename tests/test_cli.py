@@ -88,6 +88,26 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("old,new,named", [
+        ("count = 8\nspeed = 1:2", "speed = 1:2", ("[group:walkers]", "count")),
+        ("radio = 150\n", "", ("[group:buses]", "radio")),
+        ("link_rate = 10000000\n", "", ("[group:buses]", "link_rate")),
+        ("[group:cars]\n", "[group:cars]\nradius = 3\n", ("[group:cars]", "radius")),
+        ("[group:cars]", "[grop:cars]", ("[grop:cars]",)),
+    ], ids=["no-count", "no-radio", "no-link-rate", "unknown-key", "misspelled"])
+    def test_bad_group_section_is_runtime_error(self, tmp_path, capsys, old, new,
+                                                named):
+        """A group section missing a required key, with an unknown key, or
+        under a misspelled name fails the run and names the file, the
+        section and the key, as an unknown [scenario] key does."""
+        path = tmp_path / "bad.ini"
+        assert MINI_INI.count(old) == 1
+        path.write_text(MINI_INI.replace(old, new))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(word in err for word in (str(path), *named))
+
     def test_single_run_with_trace(self, mini_config, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--config", str(mini_config), "--seeds", "4",

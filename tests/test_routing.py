@@ -11,7 +11,7 @@ from prif import auth
 from prif.baselines import EpidemicRouter
 from prif.energy import EnergyParams
 from prif.model import ContactEvent, Message, message_is_expired
-from prif.routing import (Action, AuthContext, Buffer, Carrier, ForwardDecision,
+from prif.routing import (Action, AuthContext, Carrier, ForwardDecision,
                           PrifRouter, Reason, SealError, encode_message_header,
                           seal_payload, unseal_payload)
 from prif.sim import GroupSpec, Scenario, run
@@ -268,7 +268,7 @@ class TestAdmission:
         c.admit(keep, 0, NOW)
         admitted, evicted, _ = c.admit(msg(msg_id=2, size=301), 0, NOW)
         assert not admitted and not evicted
-        assert 1 in c.buffer
+        assert 1 in c
 
     def test_expired_purged_before_admission(self):
         c = make_plain_carrier(0, "D", capacity=300, ttl_min=1.0)
@@ -285,7 +285,7 @@ class TestAdmission:
         for i, (size, created) in enumerate(ops):
             c.admit(msg(msg_id=i, size=size, created_at=float(created),
                         dest_community="B"), 0, NOW)
-            assert c.buffer.used_bytes <= c.buffer.capacity_bytes
+            assert c.used_bytes <= c.capacity_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +353,7 @@ class TestAntipackets:
         a.mark_delivered(1)
         dropped_a, dropped_b = a.exchange_antipackets(b)
         assert not dropped_a and [v.msg_id for v in dropped_b] == [1]
-        assert 1 not in b.buffer
+        assert 1 not in b
 
     def test_sets_union_both_ways(self):
         a = make_plain_carrier(0, "D")
@@ -371,7 +371,7 @@ class TestAntipackets:
         b.admit(msg(msg_id=1), 0, NOW)
         dropped_a, dropped_b = a.exchange_antipackets(b)
         assert not dropped_a and not dropped_b
-        assert 1 in b.buffer
+        assert 1 in b
 
     def test_negative_id_rejected(self):
         a = make_plain_carrier(0, "D")
@@ -417,10 +417,10 @@ def run_against_reference(ops, ttls):
             m = msg(msg_id=mid, size=size, created_at=now - age)
             assert r.admit(m, 0, now) == ref.admit(m, now)
         elif kind == "expire":
-            assert r.buffer.pop_expired(now) == ref.pop_expired(now)
+            assert r.pop_expired(now) == ref.pop_expired(now)
         elif kind == "drop":
             if mid in ref.msgs:
-                assert r.buffer.remove(mid) == ref.drop_copy(mid)
+                assert r.remove(mid) == ref.drop_copy(mid)
         elif kind == "mark":
             assert r.mark_delivered(mid) == ref.mark_delivered(mid)
         elif kind == "gossip":
@@ -432,11 +432,11 @@ def run_against_reference(ops, ttls):
                                            peer.router)
             assert r.schedule_messages(peer, now) == want
         for r, ref in zip(carriers, refs):
-            assert r.buffer.messages() == list(ref.msgs.values())
-            assert r.buffer.used_bytes == ref.used_bytes()
+            assert r.messages() == list(ref.msgs.values())
+            assert r.used_bytes == ref.used_bytes()
             assert [r.knows_delivered(i) for i in range(N_IDS)] == [
                 i in ref.delivered_ids for i in range(N_IDS)]
-            assert r.buffer.maybe_expired(now) or not any(
+            assert r.maybe_expired(now) or not any(
                 message_is_expired(m, ref.ttl_min, now) for m in ref.msgs.values())
 
 
@@ -587,23 +587,23 @@ class TestHeaderCodec:
         assert b"INTEREST=" not in header
 
     def test_buffer_basics(self):
-        buf = Buffer(250, 600.0)
+        c = Carrier(EpidemicRouter(0, 0), 250, 600.0)
         m1 = msg(msg_id=1, size=100)
-        buf.add(m1, 3)
-        assert buf.used_bytes == 100 and 1 in buf and buf.hops(1) == 3
+        c.add(m1, 3)
+        assert c.used_bytes == 100 and 1 in c and c.hops(1) == 3
         with pytest.raises(ValueError):
-            buf.add(msg(msg_id=1, size=50), 0)
+            c.add(msg(msg_id=1, size=50), 0)
         with pytest.raises(ValueError):
-            buf.add(msg(msg_id=2, size=200), 0)
-        assert buf.remove(1) is m1
-        assert buf.used_bytes == 0
+            c.add(msg(msg_id=2, size=200), 0)
+        assert c.remove(1) is m1
+        assert c.used_bytes == 0
 
     @pytest.mark.parametrize("ttl_min", [0.0, -1.0, math.nan, math.inf])
     def test_buffer_rejects_a_ttl_not_positive_and_finite(self, ttl_min):
         with pytest.raises(ValueError, match="ttl"):
-            Buffer(250, ttl_min)
+            Carrier(EpidemicRouter(0, 0), 250, ttl_min)
 
     @pytest.mark.parametrize("capacity", [0, -1])
     def test_buffer_rejects_a_capacity_not_positive(self, capacity):
         with pytest.raises(ValueError, match="capacity"):
-            Buffer(capacity, 600.0)
+            Carrier(EpidemicRouter(0, 0), capacity, 600.0)

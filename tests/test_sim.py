@@ -10,14 +10,15 @@ import pytest
 
 from prif.baselines import EpidemicRouter, NoPrivacyPrifRouter, ProphetRouter
 from prif.energy import EnergyParams
-from prif.model import Message
+from prif.model import ContactEvent, Message
 from prif.routing import PrifRouter
 from prif.sim import (GroupSpec, Scenario, apply_axis, build_trace, desk_preset,
                       paper_preset, run, run_sweep, scenario_from_ini)
 from prif.sim import kernels, mobility, trace
 from prif.sim.engine import TRACE_KINDS, ReplayEngine, format_trace
 from prif.sim.scenario import ROUTERS
-from prif.sim.trace import assign_interests, build_contacts, build_plan
+from prif.sim.trace import (ContactTrace, MessagePlan, assign_interests,
+                            build_contacts, build_plan)
 
 from oracles import (all_pairs_transitions, foremost_journeys, positions_at,
                      reference_itineraries, reference_positions)
@@ -606,6 +607,29 @@ class TestRun:
                  + rep.buffered_at_end + rep.rejected)
         assert parts == rep.created
 
+    def test_copies_past_their_ttl_expire_at_the_run_end(self):
+        """Copies that outlive their TTL with nothing left to purge them
+        expire at the run's end: their ``expire`` events come at ``end``,
+        and their message counts as expired, not as buffered, while a
+        message still alive at the end counts as buffered."""
+        groups = (GroupSpec("g", 3, (1.0, 2.0), (5.0, 10.0), 10.0, 2e6),)
+        sc = Scenario(area=(100.0, 100.0), groups=groups, interests=1,
+                      duration=100.0, warmup=0.0, ttl_min=1.0, router="epidemic")
+        plan = tuple(MessagePlan(msg_id=i, t=t, source=src, destination=dst,
+                                 size_bytes=100, token=b"t", nonce=bytes(12))
+                     for i, (t, src, dst) in enumerate([(5.0, 0, 2), (90.0, 2, 0)]))
+        trace = ContactTrace(duration=100.0, interests=np.zeros(3, dtype=np.int64),
+                             contacts=(ContactEvent(0, 1, 10.0, 20.0),), plan=plan)
+        events = []
+        rep = run(sc, trace=trace, events=events)
+        assert [e for e in events if e[1] in ("relay", "expire")] == [
+            (20.0, "relay", 0, 1, 0),
+            (100.0, "expire", 0, None, 0), (100.0, "expire", 1, None, 0)]
+        assert (rep.created, rep.expired, rep.buffered_at_end) == (2, 1, 1)
+        assert rep.expiry_events == 2
+        assert (rep.delivered + rep.expired + rep.dropped
+                + rep.buffered_at_end + rep.rejected) == rep.created
+
     def test_determinism_same_seed(self):
         sc = mini_scenario(seed=77)
         assert run(sc).to_dict() == run(sc).to_dict()
@@ -906,20 +930,20 @@ class TestLanes:
     @pytest.mark.parametrize("router", ROUTERS)
     def test_lane_routers_share_all_but_message_state(self, router):
         """Each lane has one carrier per node over the replay's one router;
-        the buffer and delivery knowledge are the carrier's alone."""
+        the copies and delivery knowledge are the carrier's alone."""
         sc = mini_scenario(router=router)
         engine = ReplayEngine([sc, sc.with_overrides(buffer_bytes=MB)],
                               build_trace(sc))
         for node, lead in engine.routers.items():
-            assert not hasattr(lead, "buffer")
+            assert not hasattr(lead, "_copies")
             assert not hasattr(lead, "delivered_mask")
             carriers = [lane.carriers[node] for lane in engine.lanes]
             for lane, carrier in zip(engine.lanes, carriers):
                 assert carrier.router is lead and carrier.node == node
-                assert carrier.buffer.capacity_bytes == lane.scenario.buffer_bytes
-                assert carrier.buffer.messages() == []
+                assert carrier.capacity_bytes == lane.scenario.buffer_bytes
+                assert carrier.messages() == []
                 assert carrier.delivered_mask == 0
-            assert carriers[0].buffer is not carriers[1].buffer
+            assert carriers[0]._copies is not carriers[1]._copies
 
     def test_lanes_share_one_message_per_creation(self):
         """A creation builds one ``Message``; every lane's ledger receives

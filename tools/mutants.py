@@ -55,6 +55,8 @@ _BUFFER_ORACLE = (
     "tests/test_routing.py::TestBufferOracle::test_long_sequences_match_reference")
 _EXPIRY = ("tests/test_model.py::TestExpiry",)
 _ROUTING_AND_SIM = ("tests/test_routing.py", "tests/test_sim.py")
+_RUN_END = ("tests/test_sim.py::TestRun::"
+            "test_copies_past_their_ttl_expire_at_the_run_end",)
 _RAGGED_ROUNDS = ("tests/test_sim.py::TestBuildOracles::"
                   "test_ragged_rounds_and_horizon_on_a_leg_end",)
 _EPIDEMIC = "tests/test_baselines.py::TestEpidemic::"
@@ -69,11 +71,18 @@ MUTANTS = [
         "the expiry bound must use the oldest copy held; the newest one "
         "hides older copies that have expired"),
     Mutant(
-        "pop-oldest-without-id-tiebreak", "src/prif/routing.py",
+        "eviction-order-without-id-tiebreak", "src/prif/routing.py",
         'key=attrgetter("created_at", "msg_id")',
         'key=attrgetter("created_at")',
         _BUFFER_ORACLE,
         "eviction breaks created_at ties by msg_id, not by insertion order"),
+    Mutant(
+        "eviction-stops-past-an-exact-fit", "src/prif/routing.py",
+        "                if self.used_bytes <= room:\n",
+        "                if self.used_bytes < room:\n",
+        _BUFFER_ORACLE,
+        "eviction stops as soon as the new copy fits, exactly fitting "
+        "included"),
     Mutant(
         "pop-expired-by-created-at", "src/prif/routing.py",
         "        return dead\n",
@@ -140,7 +149,7 @@ MUTANTS = [
         "delivery notices are exchanged"),
     Mutant(
         "schedule-ignores-held", "src/prif/routing.py",
-        "if m.msg_id not in held and not known >> m.msg_id & 1]",
+        "if m.msg_id not in peer and not known >> m.msg_id & 1]",
         "if not known >> m.msg_id & 1]",
         (_EPIDEMIC + "test_hold_when_peer_has_copy",),
         "a copy the peer already holds is not offered to it again"),
@@ -157,6 +166,26 @@ MUTANTS = [
         ("tests/test_routing.py::TestDelivery::"
          "test_header_frames_count_hops_along_a_chain",),
         "a transfer hands on a copy one hop further than the sender's"),
+    Mutant(
+        "no-expiry-at-run-end", "src/prif/sim/engine.py",
+        '            self._gone(end, node, carrier.pop_expired(end), "expire")\n',
+        "            pass\n",
+        _RUN_END,
+        "copies past their TTL at the run's end expire there, and their "
+        "messages count as expired"),
+    Mutant(
+        "held-read-before-run-end-expiry", "src/prif/sim/engine.py",
+        "        for node, carrier in self.carriers.items():\n"
+        '            self._gone(end, node, carrier.pop_expired(end), "expire")\n'
+        "        held = {m.msg_id for carrier in self.carriers.values()\n"
+        "                for m in carrier.messages()}\n",
+        "        held = {m.msg_id for carrier in self.carriers.values()\n"
+        "                for m in carrier.messages()}\n"
+        "        for node, carrier in self.carriers.items():\n"
+        '            self._gone(end, node, carrier.pop_expired(end), "expire")\n',
+        _RUN_END,
+        "buffered_at_end counts the copies held after the end-of-run expiry, "
+        "not before it"),
     Mutant(
         "contact-end-at-start", "src/prif/sim/engine.py",
         "            now = c.end\n", "            now = c.start\n",
